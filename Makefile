@@ -3,7 +3,7 @@ GO ?= go
 # Minimum statement coverage (%) for internal/obs enforced by `make cover`.
 OBS_COVER_MIN ?= 80
 
-.PHONY: check build vet fmt test race bench bench-json bench-compare bench-gate cover workload-report advise-report prof-report fuzz noskip lint
+.PHONY: check build vet fmt test race bench benchmark bench-json bench-compare bench-gate cover workload-report advise-report prof-report fuzz noskip lint
 
 # check is the full gate: build, vet, formatting, the race-enabled test
 # suite, the coverage floor, the no-skip guard on the SLO and wide-event
@@ -29,14 +29,25 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz hammers the durable-cursor decoders (client tokens and on-disk
-# records): untrusted bytes must never panic, and accepted inputs must
-# round-trip canonically. Go allows one -fuzz pattern per invocation,
-# so each target gets its own run.
+# fuzz hammers the decoders of untrusted bytes — durable-cursor client
+# tokens and on-disk records, and the PCOL column files every
+# sub-partition and index is read from: no input may panic, and
+# accepted inputs must round-trip. Go allows one -fuzz pattern per
+# invocation, so each target gets its own run.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseToken$$' -fuzztime=$(FUZZTIME) ./internal/cursor/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=$(FUZZTIME) ./internal/cursor/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeColumns$$' -fuzztime=$(FUZZTIME) ./internal/columnar/
+
+# benchmark runs the end-to-end benchmark declared in BENCHMARK.json
+# (benchmark/README.md): it builds and launches pingd on generated data
+# and drives every workload from the client socket. Pass flags through
+# BENCH_ARGS, e.g. BENCH_ARGS='-repeat 3 -out new.json', then compare two
+# result files with BENCH_ARGS='-compare old.json new.json'.
+BENCH_ARGS ?=
+benchmark:
+	$(GO) run ./benchmark $(BENCH_ARGS)
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"ping/internal/dataflow"
 	"ping/internal/obs"
 	"ping/internal/obs/slo"
 	"ping/internal/ping"
@@ -45,13 +44,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	proc := ping.NewProcessorStore(s.store, ping.Options{
-		Context:         dataflow.NewContext(s.cfg.Workers),
-		Strategy:        s.cfg.Strategy,
-		FailurePolicy:   s.cfg.FailurePolicy,
-		UseBloomPruning: s.cfg.UseBloomPruning,
-		Metrics:         s.cfg.Metrics,
-	})
+	proc := s.newProcessor(s.cfg.Strategy, s.cfg.FailurePolicy)
 
 	var plan *ping.Plan
 	if r.URL.Query().Get("analyze") == "1" {

@@ -6,7 +6,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -244,6 +246,83 @@ func TestCostAdmissionShedsMeasuredExpensiveQueries(t *testing.T) {
 	r4.Body.Close()
 	if r4.StatusCode != http.StatusOK {
 		t.Fatalf("lone over-budget query rejected: status %d", r4.StatusCode)
+	}
+}
+
+// TestCostAdmissionShedsResume: a resumed segment reserves its
+// fingerprint's measured cost like a fresh query, so it is shed with
+// reason "cost" while the budget is full — and the shed hands the cursor
+// back, so the same token resumes once the budget frees up.
+func TestCostAdmissionShedsResume(t *testing.T) {
+	srv, ts, _ := newTestServer(t, serverConfig{
+		AdmissionCPU: 100 * time.Millisecond,
+		MaxInflight:  4,
+	})
+
+	const qs = `SELECT * WHERE { ?x <p0> ?y }`
+	// Measure the class (count=1), declare it expensive, and park one
+	// lineage of it.
+	resp, err := http.Get(queryURL(ts.URL, qs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readObsLines(t, resp.Body)
+	resp.Body.Close()
+	q, _ := sparql.Parse(qs)
+	fp := workload.FingerprintCanonical(workload.Canonical(q))
+	srv.profiler.AddProfileCPU(fp, time.Second)
+	paused := getRLines(t, queryURL(ts.URL, qs)+"&max_steps=1")
+	token := paused[len(paused)-1].Cursor
+	if !paused[len(paused)-1].Paused || token == "" {
+		t.Fatalf("budgeted query did not pause: %+v", paused[len(paused)-1])
+	}
+
+	// Hold one instance of the class inflight, stalled at its first step.
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	free := sync.OnceFunc(func() { close(release) })
+	defer free() // never leave the holder stalled, even on failure
+	var hookOnce sync.Once
+	srv.setStepHook(func() {
+		hookOnce.Do(func() {
+			close(entered)
+			<-release
+		})
+	})
+	defer srv.setStepHook(nil)
+	errc := make(chan error, 1)
+	go func() {
+		r, err := http.Get(queryURL(ts.URL, qs))
+		if err == nil {
+			io.Copy(io.Discard, r.Body)
+			r.Body.Close()
+		}
+		errc <- err
+	}()
+	<-entered
+
+	r2, err := http.Get(ts.URL + "/resume?cursor=" + url.QueryEscape(token))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := map[string]any{}
+	_ = json.NewDecoder(r2.Body).Decode(&body)
+	r2.Body.Close()
+	if r2.StatusCode != http.StatusTooManyRequests || body["reason"] != "cost" {
+		t.Fatalf("resume over a full cost budget: status %d, body %v; want 429 reason cost", r2.StatusCode, body)
+	}
+	if srv.costRejected.Value() != 1 {
+		t.Errorf("pingd_cost_rejected_total = %d, want 1", srv.costRejected.Value())
+	}
+
+	free()
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	// The shed left the cursor resumable: the same token completes.
+	lines := getRLines(t, ts.URL+"/resume?cursor="+url.QueryEscape(token))
+	if done := lines[len(lines)-1]; !done.Done || done.Segments != 2 {
+		t.Fatalf("resume after the shed: %+v, want done in 2 segments", done)
 	}
 }
 

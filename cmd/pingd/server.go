@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -495,45 +494,59 @@ type errLine struct {
 }
 
 // segment is the handler-side state of one run segment of a query
-// lineage: the NDJSON emitter plus everything the pause/complete paths
-// need (latest step, latest checkpoint, per-step counters).
+// lineage: the NDJSON emitter, the latest step and checkpoint, and the
+// lineage record the segment extends.
 type segment struct {
 	s            *server
 	enc          *json.Encoder
 	flusher      http.Flusher
-	id           [16]byte
 	dict         *rdf.DictView
 	wantBindings bool
-	restarted    bool
+	// restarted marks a lineage that lost its snapshot and started over
+	// on the current one (in this segment or an earlier one); every
+	// line carries it.
+	restarted bool
 
-	steps       int
-	last        ping.StepResult
-	lastCp      *ping.Checkpoint
-	stepMs      []float64
-	stepAnswers []int
-	subParts    int
-	cacheHits   int64
-	cacheMisses int64
+	steps  int // delivered by this segment
+	last   ping.StepResult
+	lastCp *ping.Checkpoint
 
-	// led is the segment's resource ledger; the handler attaches it to
-	// the run context so every layer below (ping, engine, dataflow, dfs)
-	// accounts into it. Nil-safe: all Ledger methods accept nil.
+	// rec is the lineage so far: a copy of the cursor's record on resume
+	// (so a failed segment leaves the cursor untouched), extended with
+	// this segment's steps as they complete. pausedAt is the lineage
+	// step the segment resumed after (0 for a run from the first step).
+	rec      cursor.Record
+	pausedAt int
+
+	// led is the lineage's resource ledger, seeded with the earlier
+	// segments' cost; the runner attaches it to the run context so every
+	// layer below (ping, engine, dataflow, dfs) accounts into it.
+	// Nil-safe: all Ledger methods accept nil.
 	led *prof.Ledger
 }
 
-func (s *server) newSegment(w http.ResponseWriter, id [16]byte, wantBindings bool) *segment {
+func (s *server) newSegment(w http.ResponseWriter, rec cursor.Record, wantBindings bool) *segment {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no")
 	flusher, _ := w.(http.Flusher)
+	led := prof.NewLedger()
+	led.Add(rec.Cost)
 	return &segment{
 		s:            s,
 		enc:          json.NewEncoder(w),
 		flusher:      flusher,
-		id:           id,
 		dict:         s.store.Current().DictView(),
 		wantBindings: wantBindings,
+		restarted:    rec.Restarted,
+		rec:          rec,
+		pausedAt:     len(rec.StepAnswers),
+		led:          led,
 	}
 }
+
+// millis renders a duration in fractional milliseconds (µs precision),
+// the unit of every NDJSON and wide-event timing.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
 // term decodes one binding ID through the segment's dictionary snapshot.
 // The snapshot is taken at segment creation; if the run pinned a newer
@@ -562,11 +575,11 @@ func (g *segment) step(ctx context.Context) func(ping.StepResult, *ping.Checkpoi
 		g.steps++
 		g.last = st
 		g.lastCp = cp
-		g.stepMs = append(g.stepMs, float64(st.Elapsed.Microseconds())/1e3)
-		g.stepAnswers = append(g.stepAnswers, st.Answers.Card())
-		g.subParts += len(st.NewSubParts)
-		g.cacheHits += st.CacheHits
-		g.cacheMisses += st.CacheMisses
+		g.rec.StepMs = append(g.rec.StepMs, millis(st.Elapsed))
+		g.rec.StepAnswers = append(g.rec.StepAnswers, st.Answers.Card())
+		g.rec.SubParts += len(st.NewSubParts)
+		g.rec.CacheHits += st.CacheHits
+		g.rec.CacheMisses += st.CacheMisses
 		line := stepLine{
 			Step:        st.Step,
 			MaxLevel:    st.MaxLevel,
@@ -574,25 +587,27 @@ func (g *segment) step(ctx context.Context) func(ping.StepResult, *ping.Checkpoi
 			Answers:     st.Answers.Card(),
 			NewAnswers:  st.NewAnswers,
 			RowsLoaded:  st.RowsLoadedCum,
-			ElapsedMS:   float64(st.ElapsedCum.Microseconds()) / 1e3,
-			Cursor:      cursor.Token(g.id, st.Step),
+			ElapsedMS:   millis(st.ElapsedCum),
+			Cursor:      cursor.Token(g.rec.ID, st.Step),
 			Restarted:   g.restarted,
 			Degraded:    st.Degraded,
 			MissingSubP: len(st.MissingSubParts),
 		}
 		if g.wantBindings {
-			for i, row := range st.Answers.BindingMaps() {
-				if i >= g.s.cfg.RowLimit {
-					break
+			// Decode only the rows the line carries, not the whole
+			// cumulative answer relation.
+			vars := st.Answers.Vars
+			rows := st.Answers.Rows[:min(g.s.cfg.RowLimit, st.Answers.Card())]
+			for _, row := range rows {
+				m := make(map[string]string, len(vars))
+				for j, v := range vars {
+					m[v] = g.term(row[j])
 				}
-				m := make(map[string]string, len(row))
-				for v, id := range row {
-					m[v] = g.term(id)
-				}
-				g.s.decodes.Add(int64(len(row)))
-				g.led.AddDictDecodes(int64(len(row)))
 				line.Bindings = append(line.Bindings, m)
 			}
+			n := int64(len(rows) * len(vars))
+			g.s.decodes.Add(n)
+			g.led.AddDictDecodes(n)
 		}
 		g.emit(line)
 		if hook := g.s.stepHook.Load(); hook != nil {
@@ -600,6 +615,24 @@ func (g *segment) step(ctx context.Context) func(ping.StepResult, *ping.Checkpoi
 		}
 		return ctx.Err() == nil && !g.s.draining.Load()
 	}
+}
+
+// run executes the segment: from the cursor's checkpoint when h is
+// non-nil, else — or when the checkpoint's snapshot is gone and the data
+// changed — from the first step on lay.
+func (g *segment) run(ctx context.Context, proc *ping.Processor, lay *hpart.Layout, q *sparql.Query, h *cursor.Handle, budget ping.Budget) (*ping.RunStatus, error) {
+	if h != nil {
+		st, err := proc.PQAResumeRun(ctx, lay, h.Checkpoint(), budget, g.step(ctx))
+		if !errors.Is(err, ping.ErrSnapshotMismatch) {
+			return st, err
+		}
+		// Restart on the current snapshot, marked restarted: the old
+		// trajectory no longer applies (the work it cost still counts).
+		g.restarted = true
+		g.steps, g.lastCp, g.pausedAt = 0, nil, 0
+		g.rec.StepAnswers, g.rec.StepMs, g.rec.SubParts = nil, nil, 0
+	}
+	return proc.PQARunOn(ctx, lay, q, budget, g.step(ctx))
 }
 
 // pauseReason maps a segment outcome to the reason string on the paused
@@ -617,22 +650,60 @@ func (g *segment) pauseReason(ctx context.Context, st *ping.RunStatus) string {
 	return string(ping.StopCallback)
 }
 
-// lineageMeta carries the completion context lineageObservation cannot
-// recover from the segment alone: the trace identity, the budget the
-// client declared, the snapshot signature, and — for resumed lineages —
-// which cursor they came through and where the last budget pause left
-// them.
-type lineageMeta struct {
-	traceID   string
-	layoutSig uint64
-	budget    ping.Budget
-	// resumedFrom identifies the cursor a multi-segment lineage resumed
-	// through ("" for single-segment runs).
-	resumedFrom string
-	// budgetExhaustedStep is the 1-based step the client's (latest)
-	// budget ran out at — the point whose coverage the coverage-at-budget
-	// SLO measures. 0 when the lineage never ran under a step budget.
-	budgetExhaustedStep int
+// event completes a finished lineage's wide event: ev carries the
+// request's identity, and the segment adds what the whole lineage did.
+func (g *segment) event(ev obs.WideEvent, runErr error) obs.WideEvent {
+	rec := &g.rec
+	ev.Segments = rec.Segments
+	ev.LatencyMs = millis(time.Duration(rec.LatencyNS))
+	ev.Steps = len(rec.StepAnswers)
+	ev.StepMs = rec.StepMs
+	ev.SubParts = rec.SubParts
+	ev.TaskMs = float64(rec.Cost.TaskNanos) / 1e6
+	ev.RowsLoaded = rec.Cost.RowsLoaded
+	ev.BytesDecoded = rec.Cost.BytesDecoded
+	ev.StorageBytesRead = rec.Cost.StorageBytesRead
+	ev.CacheBytesPinned = rec.Cost.CacheBytesPinned
+	ev.DictDecodes = rec.Cost.DictDecodes
+	ev.PeakRelationRows = rec.Cost.PeakRelationRows
+	if runErr != nil {
+		ev.Error = runErr.Error()
+	}
+	if g.steps == 0 {
+		return ev
+	}
+	final := g.last.Answers.Card()
+	ev.Answers = final
+	ev.Epoch = g.last.Epoch
+	ev.MaxLevel = g.last.MaxLevel
+	ev.RowsLoaded = g.last.RowsLoadedCum // lineage-cumulative, from the checkpoint
+	ev.CacheHits, ev.CacheMisses = rec.CacheHits, rec.CacheMisses
+	ev.Incremental = g.last.Incremental
+	ev.Degraded = g.last.Degraded
+	ev.MissingSubParts = len(g.last.MissingSubParts)
+	ev.Coverage = make([]float64, len(rec.StepAnswers))
+	for i, n := range rec.StepAnswers {
+		ev.Coverage[i] = 1
+		if final > 0 {
+			ev.Coverage[i] = float64(n) / float64(final)
+		}
+		if ev.StepsToFirstAnswer == 0 && n > 0 {
+			ev.StepsToFirstAnswer = i + 1
+			ev.CoverageAtFirst = ev.Coverage[i]
+		}
+	}
+	switch {
+	case runErr != nil:
+	case g.pausedAt > 0:
+		// Where the lineage last paused is where the client's budget ran
+		// out.
+		ev.BudgetExhaustedStep = g.pausedAt
+	case ev.BudgetSteps > 0:
+		// The budget never bound the run (it completed); coverage at the
+		// budget boundary is still the progressive contract's measure.
+		ev.BudgetExhaustedStep = min(ev.BudgetSteps, ev.Steps)
+	}
+	return ev
 }
 
 // maybeTrace roots a query span for the request: always when the client
@@ -677,127 +748,15 @@ func (s *server) exportTrace(root *obs.Span) {
 	}
 }
 
-// lineageObservation folds a COMPLETED lineage into the workload
-// profiler, the slow-query log, the wide-event stream and the SLO
-// engine — called exactly once per lineage, with the latency summed
-// across its segments.
-func (s *server) lineageObservation(fp, canonical, shape, text string, latency time.Duration, segments int, stepAnswers []int, g *segment, runErr error, meta lineageMeta) {
-	obsv := workload.Observation{
-		Latency:  latency,
-		Steps:    len(stepAnswers),
-		Segments: segments,
-		Error:    runErr != nil,
-	}
-	var sq workload.SlowQuery
-	if len(stepAnswers) > 0 && g.steps > 0 {
-		final := g.last.Answers.Card()
-		obsv.Answers = final
-		obsv.Epoch = g.last.Epoch
-		obsv.Degraded = g.last.Degraded
-		obsv.Coverage = make([]float64, len(stepAnswers))
-		for i, n := range stepAnswers {
-			if final > 0 {
-				obsv.Coverage[i] = float64(n) / float64(final)
-			} else {
-				obsv.Coverage[i] = 1
-			}
-			if obsv.StepsToFirstAnswer == 0 && n > 0 {
-				obsv.StepsToFirstAnswer = i + 1
-			}
-		}
-		if obsv.StepsToFirstAnswer > 0 {
-			obsv.CoverageAtFirstAnswer = obsv.Coverage[obsv.StepsToFirstAnswer-1]
-		}
-		sq.Plan = &workload.PlanSummary{
-			Strategy:    s.cfg.Strategy.String(),
-			Steps:       len(stepAnswers),
-			SubParts:    g.subParts,
-			MaxLevel:    g.last.MaxLevel,
-			Incremental: g.last.Incremental,
-		}
-	}
-	// Stamp the measured cost of the run. The ledger covers the final
-	// segment's execution (earlier segments of a resumed lineage already
-	// accounted their work when they parked); RowsLoaded stays the
-	// lineage-cumulative count the checkpoint carries.
-	snap := g.led.Snapshot()
-	obsv.TaskSeconds = float64(snap.TaskNanos) / 1e9
-	obsv.BytesDecoded = snap.BytesDecoded
-	obsv.StorageBytesRead = snap.StorageBytesRead
-	obsv.CacheBytesPinned = snap.CacheBytesPinned
-	obsv.DictDecodes = snap.DictDecodes
-	obsv.PeakRelationRows = snap.PeakRelationRows
-	if g.steps > 0 {
-		obsv.RowsLoaded = g.last.RowsLoadedCum
-	} else {
-		obsv.RowsLoaded = snap.RowsLoaded
-	}
-	s.profiler.ObserveFingerprint(fp, canonical, shape, obsv)
-	sq.Fingerprint = fp
-	sq.Canonical = canonical
-	sq.Query = text
-	sq.Epoch = obsv.Epoch
-	sq.StepMs = g.stepMs
-	sq.Answers = obsv.Answers
-	sq.Degraded = obsv.Degraded
-	if runErr != nil {
-		sq.Error = runErr.Error()
-	}
-	s.slow.Observe(sq, latency)
-
-	ev := obs.WideEvent{
-		TraceID:            meta.traceID,
-		Fingerprint:        fp,
-		Shape:              shape,
-		Canonical:          canonical,
-		Query:              text,
-		Epoch:              obsv.Epoch,
-		LayoutSig:          meta.layoutSig,
-		Strategy:           s.cfg.Strategy.String(),
-		BudgetSteps:        meta.budget.MaxSteps,
-		BudgetRows:         meta.budget.MaxLoadedRows,
-		BudgetDeadline:     float64(meta.budget.Deadline.Microseconds()) / 1e3,
-		Segments:           segments,
-		ResumedFrom:        meta.resumedFrom,
-		Steps:              len(stepAnswers),
-		StepMs:             g.stepMs,
-		Coverage:           obsv.Coverage,
-		StepsToFirstAnswer: obsv.StepsToFirstAnswer,
-		CoverageAtFirst:    obsv.CoverageAtFirstAnswer,
-		Answers:            obsv.Answers,
-		LatencyMs:          float64(latency.Microseconds()) / 1e3,
-	}
-	ev.RowsLoaded = obsv.RowsLoaded
-	ev.TaskMs = obsv.TaskSeconds * 1e3
-	ev.BytesDecoded = snap.BytesDecoded
-	ev.StorageBytesRead = snap.StorageBytesRead
-	ev.CacheBytesPinned = snap.CacheBytesPinned
-	ev.DictDecodes = snap.DictDecodes
-	ev.PeakRelationRows = snap.PeakRelationRows
-	if g.steps > 0 {
-		ev.CacheHits = g.cacheHits
-		ev.CacheMisses = g.cacheMisses
-		ev.Incremental = g.last.Incremental
-		ev.Degraded = g.last.Degraded
-		ev.MissingSubParts = len(g.last.MissingSubParts)
-	}
-	if runErr != nil {
-		ev.Error = runErr.Error()
-	}
+// recordLineage emits a finished lineage's wide event — the one record
+// of what it did — and feeds the records derived from it to the
+// workload profiler, the slow-query log and the SLO engine, exactly as
+// an offline replay of the event stream derives them.
+func (s *server) recordLineage(ev obs.WideEvent) {
 	s.events.Emit(ev)
-
-	sev := slo.Event{
-		Latency:            latency,
-		StepsToFirstAnswer: obsv.StepsToFirstAnswer,
-		Answers:            obsv.Answers,
-		Err:                runErr != nil,
-		Degraded:           obsv.Degraded,
-	}
-	if n := meta.budgetExhaustedStep; n > 0 && n <= len(obsv.Coverage) {
-		sev.Budgeted = true
-		sev.Coverage = obsv.Coverage[n-1]
-	}
-	s.slo.Observe(sev)
+	s.profiler.ObserveFingerprint(ev.Fingerprint, ev.Canonical, ev.Shape, workload.ObservationFromEvent(ev))
+	s.slow.Observe(workload.SlowQueryFromEvent(ev), ev.Latency())
+	s.slo.Observe(slo.EventFromWide(ev))
 }
 
 // handleQuery streams a progressive query: one JSON object per PQA step
@@ -807,11 +766,7 @@ func (s *server) lineageObservation(fp, canonical, shape, text string, latency t
 // ?max_steps=/?max_rows=/?deadline= bound the segment, pausing with a
 // cursor at the budget boundary.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	text := r.URL.Query().Get("q")
-	if text == "" && r.Body != nil {
-		body, _ := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		text = string(body)
-	}
+	text := queryText(r)
 	if text == "" {
 		http.Error(w, "missing query: pass ?q= or a request body", http.StatusBadRequest)
 		return
@@ -821,150 +776,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("parse: %v", err), http.StatusBadRequest)
 		return
 	}
-	budget, err := parseBudget(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	wantBindings := r.URL.Query().Get("bindings") == "1" && s.cfg.RowLimit > 0
-
-	canonical := workload.Canonical(q)
-	fp := workload.FingerprintCanonical(canonical)
-	shape := sparql.Classify(q).String()
-
-	ctx := r.Context()
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
-	// Cost-based admission first (it is cheap and does not queue), then
-	// the slot/queue gate.
-	costRelease, ok := s.admitCost(fp)
-	if !ok {
-		s.rejectCost(w, fp)
-		return
-	}
-	defer costRelease()
-	release, code := s.admit(ctx)
-	if release == nil {
-		s.reject(w, code)
-		return
-	}
-	defer release()
-
-	// Head-sampled tracing: the run's whole span tree (pqa → slice →
-	// join) lands in the bounded ring served at /traces and the span
-	// export sink. A propagated traceparent forces the trace on.
-	ctx, traceID, finishTrace := s.maybeTrace(ctx, "query", fp, text)
-	defer finishTrace()
-
-	// Resource attribution: the ledger collects the run's measured cost
-	// through every layer, and the fingerprint becomes a pprof label on
-	// all of the run's goroutines so captured CPU profiles attribute
-	// samples back to this query class.
-	led := prof.NewLedger()
-	ctx = prof.WithLedger(prof.WithQueryFP(ctx, fp), led)
-
-	proc := s.newProcessor(s.cfg.Strategy, s.cfg.FailurePolicy)
-	id, err := cursor.NewID()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	// Lease the snapshot up front: if this segment pauses, the cursor
-	// inherits the lease and the resume continues on the exact same
-	// snapshot (until the lease TTL reclaims it).
-	lease, lay := s.cursors.Lease()
-
-	g := s.newSegment(w, id, wantBindings)
-	g.led = led
-	meta := lineageMeta{traceID: traceID, layoutSig: lay.Signature(), budget: budget}
-	start := time.Now()
-	st, err := proc.PQARunOn(ctx, lay, q, budget, g.step(ctx))
-	latency := time.Since(start)
-
-	if err != nil {
-		// Interrupted mid-step (client disconnect or timeout): the last
-		// completed step's checkpoint still parks as a cursor, so the
-		// client's tokens keep working.
-		if ctx.Err() != nil && g.lastCp != nil {
-			s.parkSegment(g, ctx, &ping.RunStatus{Reason: ping.StopCallback, Checkpoint: g.lastCp},
-				fp, lease, latency, start)
-			return
-		}
-		lease.Release()
-		s.lineageObservation(fp, canonical, shape, text, latency, 1, g.stepAnswers, g, err, meta)
-		g.emit(errLine{Error: err.Error()})
-		return
-	}
-	if !st.Done {
-		s.parkSegment(g, ctx, st, fp, lease, latency, start)
-		return
-	}
-	lease.Release()
-	if budget.MaxSteps > 0 {
-		// The budget never bound the run (it completed); coverage at the
-		// budget boundary is still the progressive contract's measure.
-		meta.budgetExhaustedStep = min(budget.MaxSteps, g.steps)
-	}
-	s.lineageObservation(fp, canonical, shape, text, latency, 1, g.stepAnswers, g, nil, meta)
-	done := doneLine{
-		Done:      true,
-		Steps:     g.steps,
-		Epoch:     s.store.Epoch(),
-		Exact:     g.steps > 0 && !g.last.Degraded,
-		Segments:  1,
-		ElapsedMS: float64(latency.Microseconds()) / 1e3,
-	}
-	if g.steps > 0 {
-		done.Epoch = g.last.Epoch
-		done.Answers = g.last.Answers.Card()
-	} else {
-		// Unsafe query: no slice can hold answers; the empty result is
-		// exact.
-		done.Exact = true
-	}
-	g.emit(done)
-}
-
-// parkSegment creates the cursor for a first segment that paused, and
-// emits the paused line.
-func (s *server) parkSegment(g *segment, ctx context.Context, st *ping.RunStatus, fp string, lease *hpart.Lease, latency time.Duration, start time.Time) {
-	h, err := s.cursors.Create(&cursor.Record{
-		ID:          g.id,
-		Fingerprint: fp,
-		LatencyNS:   int64(latency),
-		StepAnswers: append([]int(nil), g.stepAnswers...),
-		Checkpoint:  *st.Checkpoint,
-	}, lease)
-	if err != nil {
-		g.emit(errLine{Error: err.Error()})
-		return
-	}
-	g.emit(pausedLine{
-		Paused:       true,
-		Reason:       g.pauseReason(ctx, st),
-		Cursor:       h.Token(st.Checkpoint.StepsDone),
-		Steps:        st.Checkpoint.StepsDone,
-		PlannedSteps: st.PlannedSteps,
-		Answers:      st.Checkpoint.PrevAnswers,
-		Epoch:        st.Checkpoint.Epoch,
-		ElapsedMS:    float64(time.Since(start).Microseconds()) / 1e3,
-	})
-}
-
-// newProcessor builds a per-request processor. Strategy and policy are
-// parameters because a resume must mirror the checkpoint's, not the
-// server's current defaults.
-func (s *server) newProcessor(strategy ping.SliceStrategy, policy ping.FailurePolicy) *ping.Processor {
-	return ping.NewProcessorStore(s.store, ping.Options{
-		Context:         dataflow.NewContext(s.cfg.Workers),
-		Strategy:        strategy,
-		FailurePolicy:   policy,
-		UseBloomPruning: s.cfg.UseBloomPruning,
-		Metrics:         s.cfg.Metrics,
-	})
+	s.runSegment(w, r, q, text, nil)
 }
 
 // handleResume continues a paused query from its cursor: GET
@@ -981,26 +793,6 @@ func (s *server) handleResume(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing ?cursor=", http.StatusBadRequest)
 		return
 	}
-	budget, err := parseBudget(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	wantBindings := r.URL.Query().Get("bindings") == "1" && s.cfg.RowLimit > 0
-
-	ctx := r.Context()
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
-	release, code := s.admit(ctx)
-	if release == nil {
-		s.reject(w, code)
-		return
-	}
-	defer release()
-
 	h, err := s.cursors.Checkout(token)
 	switch {
 	case errors.Is(err, cursor.ErrBadToken):
@@ -1016,124 +808,197 @@ func (s *server) handleResume(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	rec := h.Record()
-	cp := h.Checkpoint()
-	q, err := sparql.Parse(cp.Query)
+	text := h.Checkpoint().Query
+	q, err := sparql.Parse(text)
 	if err != nil {
 		h.Abort()
 		http.Error(w, fmt.Sprintf("cursor query: %v", err), http.StatusInternalServerError)
 		return
 	}
-	canonical := workload.Canonical(q)
-	shape := sparql.Classify(q).String()
-	proc := s.newProcessor(cp.Strategy, cp.FailurePolicy)
+	s.runSegment(w, r, q, text, h)
+}
 
-	ctx, traceID, finishTrace := s.maybeTrace(ctx, "resume", rec.Fingerprint, cp.Query)
+// runSegment runs and streams one segment of a query lineage: a fresh
+// run when h is nil, else the continuation of the checked-out cursor h.
+// Every step before and after the run happens here once for both:
+// budget, query timeout, cost then slot admission, trace root, ledger,
+// processor, snapshot lease, and exactly one ending — error, paused
+// (parking the lineage as a cursor), or done. A lineage is recorded
+// when it ends for good; a resume that fails or is shed hands its
+// cursor back unchanged, so the same token resumes later.
+func (s *server) runSegment(w http.ResponseWriter, r *http.Request, q *sparql.Query, text string, h *cursor.Handle) {
+	budget, err := parseBudget(r)
+	if err != nil {
+		h.Abort()
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	canonical := workload.Canonical(q)
+	fp := workload.FingerprintCanonical(canonical)
+
+	ctx := r.Context()
+	if s.cfg.QueryTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
+		defer cancel()
+	}
+	// Cost-based admission first (it is cheap and does not queue), then
+	// the slot/queue gate.
+	costRelease, ok := s.admitCost(fp)
+	if !ok {
+		h.Abort()
+		s.rejectCost(w, fp)
+		return
+	}
+	defer costRelease()
+	release, code := s.admit(ctx)
+	if release == nil {
+		h.Abort()
+		s.reject(w, code)
+		return
+	}
+	defer release()
+
+	// The lineage so far, and the schedule it runs under: the cursor's
+	// for a resume (its steps are numbered by it), the server's for a
+	// fresh run.
+	rec := cursor.Record{Fingerprint: fp}
+	strategy, policy := s.cfg.Strategy, s.cfg.FailurePolicy
+	span, resumedFrom := "query", ""
+	if h != nil {
+		rec = *h.Record()
+		strategy, policy = rec.Checkpoint.Strategy, rec.Checkpoint.FailurePolicy
+		span, resumedFrom = "resume", fmt.Sprintf("%x", rec.ID)
+	} else if rec.ID, err = cursor.NewID(); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+
+	// Head-sampled tracing: the run's whole span tree (pqa → slice →
+	// join) lands in the bounded ring served at /traces and the span
+	// export sink. A propagated traceparent forces the trace on.
+	ctx, traceID, finishTrace := s.maybeTrace(ctx, span, fp, text)
 	defer finishTrace()
 
-	// Resume segments account and label like first segments: the ledger
-	// measures this segment's work, the fingerprint labels its CPU
-	// samples (the prof layer stamps stage=resume).
-	led := prof.NewLedger()
-	ctx = prof.WithLedger(prof.WithQueryFP(ctx, rec.Fingerprint), led)
+	// Resource attribution: the ledger collects the run's measured cost
+	// through every layer, and the fingerprint becomes a pprof label on
+	// all of the run's goroutines so captured CPU profiles attribute
+	// samples back to this query class.
+	g := s.newSegment(w, rec, r.URL.Query().Get("bindings") == "1" && s.cfg.RowLimit > 0)
+	ctx = prof.WithLedger(prof.WithQueryFP(ctx, fp), g.led)
+	proc := s.newProcessor(strategy, policy)
 
-	// Prefer the snapshot the lineage is pinned to; fall back to the
-	// current one (a fresh lease) when the lease died or never survived
-	// a restart.
-	var (
-		lay      *hpart.Layout
-		newLease *hpart.Lease
-	)
-	if l := h.Lease(); l != nil {
-		if la, unpin, ok := l.Acquire(); ok {
-			lay = la
-			defer unpin()
-		}
+	// Run on the snapshot the lineage is pinned to while its lease
+	// lives; otherwise lease the current one. If this segment pauses,
+	// the cursor inherits the new lease and the next resume continues
+	// on the exact same snapshot (until the lease TTL reclaims it).
+	var lease *hpart.Lease
+	lay, unpin, pinned := h.Lease().Acquire()
+	if pinned {
+		defer unpin()
+	} else {
+		lease, lay = s.cursors.Lease()
 	}
-	if lay == nil {
-		newLease, lay = s.cursors.Lease()
+	ev := obs.WideEvent{
+		TraceID:        traceID,
+		Fingerprint:    fp,
+		Shape:          sparql.Classify(q).String(),
+		Canonical:      canonical,
+		Query:          text,
+		LayoutSig:      lay.Signature(),
+		Strategy:       strategy.String(),
+		BudgetSteps:    budget.MaxSteps,
+		BudgetRows:     budget.MaxLoadedRows,
+		BudgetDeadline: millis(budget.Deadline),
+		ResumedFrom:    resumedFrom,
 	}
 
-	g := s.newSegment(w, rec.ID, wantBindings)
-	g.led = led
-	g.restarted = rec.Restarted
 	start := time.Now()
-	st, err := proc.PQAResumeRun(ctx, lay, cp, budget, g.step(ctx))
-	if errors.Is(err, ping.ErrSnapshotMismatch) {
-		// The leased snapshot is gone and the data changed: restart from
-		// scratch on the current snapshot, marked restarted.
-		g.restarted = true
-		g.steps, g.lastCp, g.stepMs, g.stepAnswers, g.subParts = 0, nil, nil, nil, 0
-		st, err = proc.PQARunOn(ctx, lay, q, budget, g.step(ctx))
-		rec.StepAnswers = nil // the old lineage's trajectory no longer applies
-	}
+	st, err := g.run(ctx, proc, lay, q, h, budget)
 	latency := time.Since(start)
-
-	finishPause := func(pauseCp *ping.Checkpoint, reason string, planned int) {
-		rec.StepAnswers = append(rec.StepAnswers, g.stepAnswers...)
-		h.Pause(pauseCp, latency, g.restarted && !rec.Restarted, newLease)
-		g.emit(pausedLine{
-			Paused:       true,
-			Reason:       reason,
-			Cursor:       h.Token(pauseCp.StepsDone),
-			Steps:        pauseCp.StepsDone,
-			PlannedSteps: planned,
-			Answers:      pauseCp.PrevAnswers,
-			Epoch:        pauseCp.Epoch,
-			Restarted:    g.restarted,
-			ElapsedMS:    float64(latency.Microseconds()) / 1e3,
-		})
+	if err != nil && ctx.Err() != nil && g.lastCp != nil {
+		// Interrupted mid-step (client disconnect or timeout): the last
+		// completed step's checkpoint still parks as a cursor, so the
+		// client's tokens keep working.
+		st, err = &ping.RunStatus{Reason: ping.StopCallback, Checkpoint: g.lastCp}, nil
 	}
+	g.rec.Cost = g.led.Snapshot()
 
-	if err != nil {
-		if ctx.Err() != nil && g.lastCp != nil {
-			finishPause(g.lastCp, "disconnected", 0)
-			return
-		}
+	switch {
+	case err != nil && h != nil:
 		// The resume failed outright; the cursor keeps its old state for
 		// another attempt.
 		h.Abort()
-		newLease.Release()
+		lease.Release()
 		g.emit(errLine{Error: err.Error()})
-		return
+	case err == nil && !st.Done:
+		cp := st.Checkpoint
+		if h == nil {
+			g.rec.Checkpoint, g.rec.LatencyNS = *cp, int64(latency)
+			if h, err = s.cursors.Create(&g.rec, lease); err != nil {
+				g.emit(errLine{Error: err.Error()})
+				return
+			}
+		} else {
+			restarted := g.restarted && !g.rec.Restarted
+			*h.Record() = g.rec
+			h.Pause(cp, latency, restarted, lease)
+		}
+		g.emit(pausedLine{
+			Paused:       true,
+			Reason:       g.pauseReason(ctx, st),
+			Cursor:       h.Token(cp.StepsDone),
+			Steps:        cp.StepsDone,
+			PlannedSteps: st.PlannedSteps,
+			Answers:      cp.PrevAnswers,
+			Epoch:        cp.Epoch,
+			Restarted:    g.restarted,
+			ElapsedMS:    millis(latency),
+		})
+	default:
+		// The lineage ends here, done or failed: count its last segment
+		// and record it once, with totals.
+		lease.Release()
+		if h == nil {
+			g.rec.Segments, g.rec.LatencyNS = 1, int64(latency)
+		} else {
+			*h.Record() = g.rec
+			g.rec = *h.Complete(latency)
+		}
+		s.recordLineage(g.event(ev, err))
+		if err != nil {
+			g.emit(errLine{Error: err.Error()})
+			return
+		}
+		done := doneLine{
+			Done:      true,
+			Steps:     st.StepsDone,
+			Epoch:     s.store.Epoch(),
+			Exact:     true, // an unsafe query's empty result is exact
+			Segments:  g.rec.Segments,
+			Restarted: g.restarted,
+			ElapsedMS: millis(latency),
+		}
+		if g.steps > 0 {
+			done.Epoch = g.last.Epoch
+			done.Answers = g.last.Answers.Card()
+			done.Exact = !g.last.Degraded
+		}
+		g.emit(done)
 	}
-	if !st.Done {
-		finishPause(st.Checkpoint, g.pauseReason(ctx, st), st.PlannedSteps)
-		return
-	}
+}
 
-	// Lineage complete: observe it exactly once, with totals.
-	newLease.Release()
-	lineageAnswers := append(append([]int(nil), rec.StepAnswers...), g.stepAnswers...)
-	meta := lineageMeta{
-		traceID:     traceID,
-		layoutSig:   lay.Signature(),
-		budget:      budget,
-		resumedFrom: fmt.Sprintf("%x", rec.ID),
-	}
-	if n := len(rec.StepAnswers); n > 0 {
-		// Coverage at budget exhaustion: where the lineage last paused is
-		// where the client's budget ran out.
-		meta.budgetExhaustedStep = n
-	} else if budget.MaxSteps > 0 {
-		meta.budgetExhaustedStep = min(budget.MaxSteps, len(lineageAnswers))
-	}
-	final := h.Complete(latency)
-	s.lineageObservation(final.Fingerprint, canonical, shape, cp.Query,
-		time.Duration(final.LatencyNS), final.Segments, lineageAnswers, g, nil, meta)
-	done := doneLine{
-		Done:      true,
-		Steps:     st.StepsDone,
-		Epoch:     g.last.Epoch,
-		Exact:     !g.last.Degraded,
-		Segments:  final.Segments,
-		Restarted: final.Restarted || g.restarted,
-		ElapsedMS: float64(latency.Microseconds()) / 1e3,
-	}
-	if g.steps > 0 {
-		done.Answers = g.last.Answers.Card()
-	}
-	g.emit(done)
+// newProcessor builds a per-request processor. Strategy and policy are
+// parameters because a resume must mirror the checkpoint's, not the
+// server's current defaults.
+func (s *server) newProcessor(strategy ping.SliceStrategy, policy ping.FailurePolicy) *ping.Processor {
+	return ping.NewProcessorStore(s.store, ping.Options{
+		Context:         dataflow.NewContext(s.cfg.Workers),
+		Strategy:        strategy,
+		FailurePolicy:   policy,
+		UseBloomPruning: s.cfg.UseBloomPruning,
+		Metrics:         s.cfg.Metrics,
+	})
 }
 
 // updateResponse acknowledges a published epoch.

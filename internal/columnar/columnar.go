@@ -53,6 +53,10 @@ func (e Encoding) String() string {
 const (
 	magic   = "PCOL"
 	version = 1
+	// MaxColumnLen bounds the values of one column. A decoder must not
+	// let a few hostile bytes claim gigabytes, and DictRLE runs can
+	// legitimately expand a tiny payload without limit.
+	MaxColumnLen = 1 << 26
 )
 
 // putUvarint appends x to buf as an unsigned varint.
@@ -174,7 +178,8 @@ func decodeDictRLE(data []byte, count uint64) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if dlen > count && count > 0 || dlen > 1<<31 {
+	// Every dictionary entry takes at least one payload byte.
+	if dlen > count || dlen > uint64(len(data)) {
 		return nil, fmt.Errorf("columnar: dictionary size %d exceeds column size %d", dlen, count)
 	}
 	dict := make([]uint32, dlen)
@@ -190,7 +195,9 @@ func decodeDictRLE(data []byte, count uint64) ([]uint32, error) {
 		}
 		dict[i] = uint32(prev)
 	}
-	out := make([]uint32, 0, count)
+	// Runs, not the declared count, grow the output: a count the payload
+	// cannot back fails on the truncated run stream, not in allocation.
+	out := make([]uint32, 0, min(count, uint64(len(data))))
 	for uint64(len(out)) < count {
 		idx, err := br.uvarint()
 		if err != nil {
@@ -336,6 +343,9 @@ func WriteColumns(w io.Writer, cols [][]uint32, enc Encoding) (int64, error) {
 		return total, err
 	}
 	for _, col := range cols {
+		if len(col) > MaxColumnLen {
+			return total, fmt.Errorf("columnar: column of %d values exceeds the %d-value limit", len(col), MaxColumnLen)
+		}
 		payload, used := encode(col, enc)
 		meta := make([]byte, 0, 32)
 		meta = append(meta, byte(used))
@@ -405,6 +415,10 @@ func DecodeColumns(data []byte) ([][]uint32, error) {
 		pos += int(plen)
 		if crc32.ChecksumIEEE(payload) != sum {
 			return nil, fmt.Errorf("columnar: column %d: checksum mismatch", c)
+		}
+		// Plain and Delta spend at least one payload byte per value.
+		if count > MaxColumnLen || enc != DictRLE && count > plen {
+			return nil, fmt.Errorf("columnar: column %d: %d values in a %d-byte payload", c, count, plen)
 		}
 		var col []uint32
 		var err error

@@ -3,6 +3,8 @@ package cursor
 import (
 	"bytes"
 	"testing"
+
+	"ping/internal/obs/prof"
 )
 
 // FuzzParseToken hammers the client-token decoder: it must never panic,
@@ -39,6 +41,16 @@ func FuzzDecodeRecord(f *testing.F) {
 	small.Checkpoint.PatternRels = nil
 	small.Checkpoint.Answers = nil
 	f.Add(EncodeRecord(small))
+	totals := sampleRecord()
+	totals.StepMs = []float64{0.25, 1.5, 3}
+	totals.SubParts = 7
+	totals.CacheHits, totals.CacheMisses = 5, 2
+	totals.Cost = prof.Snapshot{TaskNanos: 1e6, RowsLoaded: 300, BytesDecoded: 4096,
+		StorageBytesRead: 2048, CacheBytesPinned: 8192, DictDecodes: 60, PeakRelationRows: 90}
+	f.Add(EncodeRecord(totals))
+	v2 := EncodeRecord(totals)
+	v2[len(recordMagic)] = 2 // pre-totals format: refused
+	f.Add(v2)
 	f.Add([]byte("PQC1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -295,9 +295,12 @@ func (h *Handle) Record() *Record { return h.rec }
 // Token returns the client token for the lineage's step s.
 func (h *Handle) Token(step int) string { return Token(h.id, step) }
 
-// Lease returns the lineage's epoch lease (nil if none, or after a
-// restart — leases are process-local).
+// Lease returns the lineage's epoch lease (nil if none, after a
+// restart — leases are process-local — or for a nil handle).
 func (h *Handle) Lease() *hpart.Lease {
+	if h == nil {
+		return nil
+	}
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
 	if e := h.m.cursors[h.id]; e != nil {
@@ -355,8 +358,12 @@ func (h *Handle) Complete(latency time.Duration) *Record {
 }
 
 // Abort releases the busy hold without changing the lineage (the resume
-// attempt failed before completing any step).
+// attempt failed or was shed before completing any step). A nil handle
+// is a no-op.
 func (h *Handle) Abort() {
+	if h == nil {
+		return
+	}
 	m := h.m
 	m.mu.Lock()
 	defer m.mu.Unlock()

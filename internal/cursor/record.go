@@ -26,6 +26,7 @@ import (
 
 	"ping/internal/engine"
 	"ping/internal/hpart"
+	"ping/internal/obs/prof"
 	"ping/internal/ping"
 )
 
@@ -33,7 +34,7 @@ import (
 // the version on any payload layout change.
 const (
 	recordMagic   = "PQC1"
-	recordVersion = 2 // v2 added Checkpoint.DictLen/DictSig after LayoutSig
+	recordVersion = 3 // v3 added the lineage totals after StepAnswers
 )
 
 var (
@@ -70,6 +71,17 @@ type Record struct {
 	// lineage step, so the workload profiler's coverage curve spans the
 	// whole lineage, not just the final segment.
 	StepAnswers []int
+	// StepMs, SubParts, CacheHits, CacheMisses and Cost total what the
+	// lineage's completed segments measurably did: per-step wall time,
+	// sub-partitions loaded, decoded-sub-partition cache behaviour and
+	// the resource ledger (sums, with maxima for the two peaks). The
+	// completing segment adds its own share, so the lineage's wide event
+	// covers every segment, not just the last.
+	StepMs      []float64
+	SubParts    int
+	CacheHits   int64
+	CacheMisses int64
+	Cost        prof.Snapshot
 	// Checkpoint is the resumable PQA state (see ping.Checkpoint).
 	Checkpoint ping.Checkpoint
 }
@@ -129,6 +141,14 @@ func appendRecord(buf []byte, r *Record) []byte {
 	for _, n := range r.StepAnswers {
 		buf = binary.AppendUvarint(buf, uint64(n))
 	}
+	buf = binary.AppendUvarint(buf, uint64(len(r.StepMs)))
+	for _, ms := range r.StepMs {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ms))
+	}
+	buf = binary.AppendUvarint(buf, uint64(r.SubParts))
+	for _, v := range r.counters() {
+		buf = binary.AppendUvarint(buf, uint64(*v))
+	}
 	return appendCheckpoint(buf, &r.Checkpoint)
 }
 
@@ -185,10 +205,46 @@ func decodeRecord(data []byte) (*Record, []byte, error) {
 			r.StepAnswers[i] = int(v)
 		}
 	}
+	if u, data, err = decodeUvarint(data); err != nil {
+		return nil, nil, err
+	}
+	if u > uint64(len(data)/8) {
+		return nil, nil, fmt.Errorf("%w: %d step times in %d bytes", ErrBadRecord, u, len(data))
+	}
+	if u > 0 {
+		r.StepMs = make([]float64, u)
+		for i := range r.StepMs {
+			r.StepMs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data))
+			data = data[8:]
+		}
+	}
+	if u, data, err = decodeUvarint(data); err != nil {
+		return nil, nil, err
+	}
+	if u > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("%w: %d sub-partitions", ErrBadRecord, u)
+	}
+	r.SubParts = int(u)
+	for _, v := range r.counters() {
+		if u, data, err = decodeUvarint(data); err != nil {
+			return nil, nil, err
+		}
+		if u > math.MaxInt64 {
+			return nil, nil, fmt.Errorf("%w: counter %d", ErrBadRecord, u)
+		}
+		*v = int64(u)
+	}
 	if data, err = decodeCheckpoint(data, &r.Checkpoint); err != nil {
 		return nil, nil, err
 	}
 	return r, data, nil
+}
+
+// counters lists the record's int64 lineage totals in wire order.
+func (r *Record) counters() []*int64 {
+	c := &r.Cost
+	return []*int64{&r.CacheHits, &r.CacheMisses, &c.TaskNanos, &c.RowsLoaded, &c.BytesDecoded,
+		&c.StorageBytesRead, &c.CacheBytesPinned, &c.DictDecodes, &c.PeakRelationRows}
 }
 
 func appendCheckpoint(buf []byte, cp *ping.Checkpoint) []byte {

@@ -1,6 +1,7 @@
 package gmark
 
 import (
+	"strings"
 	"testing"
 
 	"ping/internal/hpart"
@@ -240,5 +241,27 @@ func TestInstanceDepthRecorded(t *testing.T) {
 	}
 	if !found {
 		t.Error("no protein has a recorded positive depth")
+	}
+}
+
+// TestGenerateWorkloadDeterministic: one seed fixes the workload — the
+// same query strings, in the same order — for every standard dataset.
+func TestGenerateWorkloadDeterministic(t *testing.T) {
+	for _, nd := range StandardDatasets() {
+		cfg := StandardWorkloadConfig(nd.Name, 3)
+		var runs [2][]string
+		for i := range runs {
+			d := nd.Schema.Generate(0.02, 5)
+			for _, lq := range d.GenerateWorkload(cfg, 11).All() {
+				runs[i] = append(runs[i], lq.Shape+" "+lq.Query.String())
+			}
+		}
+		if len(runs[0]) == 0 {
+			t.Errorf("%s: empty workload", nd.Name)
+		}
+		if strings.Join(runs[0], "\n") != strings.Join(runs[1], "\n") {
+			t.Errorf("%s: same seed, different workloads:\n%s\n--- vs ---\n%s",
+				nd.Name, strings.Join(runs[0], "\n"), strings.Join(runs[1], "\n"))
+		}
 	}
 }

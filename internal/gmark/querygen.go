@@ -212,11 +212,12 @@ func (g *queryGen) chain(k int) *sparql.Query {
 	if k < 1 {
 		return nil
 	}
-	// Pick a start class that can sustain a walk.
-	starts := make([]string, 0, len(g.classTargets))
-	for c, ps := range g.classTargets {
-		if len(ps) > 0 {
-			starts = append(starts, c)
+	// Pick a start class that can sustain a walk. Classes are listed in
+	// schema order, never map order, so a seed fixes the workload.
+	var starts []string
+	for _, c := range g.d.Schema.Classes {
+		if len(g.classTargets[c.Name]) > 0 {
+			starts = append(starts, c.Name)
 		}
 	}
 	if len(starts) == 0 {
@@ -261,9 +262,9 @@ func (g *queryGen) complex(k int) *sparql.Query {
 	chainK := k - starK
 	// The star class must have a class-targeting property for the bridge.
 	var candidates []string
-	for c, ps := range g.classTargets {
-		if len(ps) > 0 && len(g.classProps[c]) >= starK {
-			candidates = append(candidates, c)
+	for _, c := range g.d.Schema.Classes {
+		if len(g.classTargets[c.Name]) > 0 && len(g.classProps[c.Name]) >= starK {
+			candidates = append(candidates, c.Name)
 		}
 	}
 	if len(candidates) == 0 {
@@ -299,12 +300,13 @@ func (g *queryGen) complex(k int) *sparql.Query {
 	return sparql.MustParse(b.String())
 }
 
-// classesWithProps lists classes having at least k properties.
+// classesWithProps lists classes having at least k properties, in
+// schema order.
 func (g *queryGen) classesWithProps(k int) []string {
 	var out []string
-	for c, props := range g.classProps {
-		if len(props) >= k {
-			out = append(out, c)
+	for _, c := range g.d.Schema.Classes {
+		if len(g.classProps[c.Name]) >= k {
+			out = append(out, c.Name)
 		}
 	}
 	return out

@@ -119,6 +119,19 @@ func raise(a *atomic.Int64, n int64) {
 	}
 }
 
+// Add folds an earlier snapshot into the ledger — the work of a query
+// lineage's previous run segments — summing the totals and raising the
+// two peaks.
+func (l *Ledger) Add(s Snapshot) {
+	l.AddTask(time.Duration(s.TaskNanos))
+	l.AddRowsLoaded(s.RowsLoaded)
+	l.AddBytesDecoded(s.BytesDecoded)
+	l.AddStorageBytesRead(s.StorageBytesRead)
+	l.AddDictDecodes(s.DictDecodes)
+	l.ObserveCacheBytesPinned(s.CacheBytesPinned)
+	l.ObservePeakRelationRows(s.PeakRelationRows)
+}
+
 // Snapshot returns the current totals. A nil ledger snapshots to zero.
 func (l *Ledger) Snapshot() Snapshot {
 	if l == nil {

@@ -15,7 +15,7 @@
 // window recovers. State is a pure function of the current window
 // counts, so recovery needs no timers.
 //
-// The engine is fed from pingd's per-lineage accounting and exports
+// The engine is fed one EventFromWide per lineage wide event and exports
 // slo_* metrics into the obs registry; Snapshot backs the /slo endpoint
 // and the dashboard panel.
 package slo
@@ -48,6 +48,24 @@ type Event struct {
 	// sub-partitions.
 	Err      bool
 	Degraded bool
+}
+
+// EventFromWide derives a lineage's SLO event from its wide event. The
+// coverage at budget exhaustion is the coverage curve's value at the
+// event's BudgetExhaustedStep; lineages no budget bound are unbudgeted.
+func EventFromWide(ev obs.WideEvent) Event {
+	e := Event{
+		Latency:            ev.Latency(),
+		StepsToFirstAnswer: ev.StepsToFirstAnswer,
+		Answers:            ev.Answers,
+		Err:                ev.Error != "",
+		Degraded:           ev.Degraded,
+	}
+	if n := ev.BudgetExhaustedStep; n > 0 && n <= len(ev.Coverage) {
+		e.Budgeted = true
+		e.Coverage = ev.Coverage[n-1]
+	}
+	return e
 }
 
 // Alert states, ordered by severity.

@@ -2,10 +2,11 @@
 // lineage, carrying everything the run revealed — identity (fingerprint,
 // trace ID), snapshot (epoch, layout signature), budget, segmentation,
 // the per-step coverage trajectory, cache behaviour, degradation, and
-// the outcome. This generalizes the slow-query-only log: where the slow
-// log answers "show me the bad ones", the wide-event stream is the
-// faithful per-query record that workload mining (internal/workload,
-// cmd/pingworkload) and the SLO engine consume.
+// the outcome. It is the record a lineage leaves: the workload
+// profiler's observation (workload.ObservationFromEvent), the slow-query
+// log line (workload.SlowQueryFromEvent) and the SLO event
+// (slo.EventFromWide) are all derived from it, live in pingd and offline
+// from the NDJSON stream alike.
 //
 // Events are NDJSON through an AsyncSink over a RotatingFile, so
 // emission never blocks a query and the stream's disk footprint is
@@ -16,6 +17,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"math"
 	"time"
 )
 
@@ -57,6 +59,15 @@ type WideEvent struct {
 	Steps    int       `json:"steps"`
 	StepMs   []float64 `json:"step_ms,omitempty"`
 	Coverage []float64 `json:"coverage,omitempty"`
+	// SubParts counts the sub-partitions the steps loaded; MaxLevel is
+	// the deepest hierarchy level of the final step.
+	SubParts int `json:"subparts,omitempty"`
+	MaxLevel int `json:"max_level,omitempty"`
+	// BudgetExhaustedStep is the 1-based step at which the client's
+	// budget ran out (where the lineage last paused, or the step budget
+	// of a run that finished within it) — the point whose coverage the
+	// coverage-at-budget SLO measures. 0: no budget bound the lineage.
+	BudgetExhaustedStep int `json:"budget_exhausted_step,omitempty"`
 	// StepsToFirstAnswer is the 1-based step delivering the first answer
 	// (0: none); CoverageAtFirst its coverage.
 	StepsToFirstAnswer int     `json:"steps_to_first_answer,omitempty"`
@@ -88,6 +99,11 @@ type WideEvent struct {
 	// segments; Error carries the failure of runs that errored.
 	LatencyMs float64 `json:"latency_ms"`
 	Error     string  `json:"error,omitempty"`
+}
+
+// Latency returns LatencyMs as a duration, rounded to the nanosecond.
+func (ev WideEvent) Latency() time.Duration {
+	return time.Duration(math.Round(ev.LatencyMs * float64(time.Millisecond)))
 }
 
 // EventLog emits wide events as NDJSON through a bounded async sink. A

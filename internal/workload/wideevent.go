@@ -2,7 +2,6 @@ package workload
 
 import (
 	"io"
-	"time"
 
 	"ping/internal/obs"
 )
@@ -13,7 +12,7 @@ import (
 // the same aggregates the live server would have.
 func ObservationFromEvent(ev obs.WideEvent) Observation {
 	return Observation{
-		Latency:               time.Duration(ev.LatencyMs * float64(time.Millisecond)),
+		Latency:               ev.Latency(),
 		Steps:                 ev.Steps,
 		Segments:              ev.Segments,
 		StepsToFirstAnswer:    ev.StepsToFirstAnswer,
@@ -32,6 +31,32 @@ func ObservationFromEvent(ev obs.WideEvent) Observation {
 		DictDecodes:      ev.DictDecodes,
 		PeakRelationRows: ev.PeakRelationRows,
 	}
+}
+
+// SlowQueryFromEvent converts one wide query event into its slow-query
+// log record (Time, LatencyMs and ThresholdMs are stamped by
+// SlowLog.Observe). Lineages that delivered no step carry no plan.
+func SlowQueryFromEvent(ev obs.WideEvent) SlowQuery {
+	sq := SlowQuery{
+		Fingerprint: ev.Fingerprint,
+		Canonical:   ev.Canonical,
+		Query:       ev.Query,
+		Epoch:       ev.Epoch,
+		StepMs:      ev.StepMs,
+		Answers:     ev.Answers,
+		Degraded:    ev.Degraded,
+		Error:       ev.Error,
+	}
+	if ev.Steps > 0 {
+		sq.Plan = &PlanSummary{
+			Strategy:    ev.Strategy,
+			Steps:       ev.Steps,
+			SubParts:    ev.SubParts,
+			MaxLevel:    ev.MaxLevel,
+			Incremental: ev.Incremental,
+		}
+	}
+	return sq
 }
 
 // ReplayEvents folds a wide-event NDJSON stream into a fresh profiler
