@@ -30,15 +30,18 @@ race:
 	$(GO) test -race ./...
 
 # fuzz hammers the decoders of untrusted bytes — durable-cursor client
-# tokens and on-disk records, and the PCOL column files every
-# sub-partition and index is read from: no input may panic, and
-# accepted inputs must round-trip. Go allows one -fuzz pattern per
-# invocation, so each target gets its own run.
+# tokens and on-disk records, the PCOL column files every sub-partition
+# and index is read from, and the N-Triples and SPARQL parsers behind
+# pingd's /update and /query bodies: no input may panic, and accepted
+# inputs must round-trip. Go allows one -fuzz pattern per invocation, so
+# each target gets its own run.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseToken$$' -fuzztime=$(FUZZTIME) ./internal/cursor/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=$(FUZZTIME) ./internal/cursor/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeColumns$$' -fuzztime=$(FUZZTIME) ./internal/columnar/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseNTriples$$' -fuzztime=$(FUZZTIME) ./internal/rdf/
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/sparql/
 
 # benchmark runs the end-to-end benchmark declared in BENCHMARK.json
 # (benchmark/README.md): it builds and launches pingd on generated data

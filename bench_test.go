@@ -164,18 +164,15 @@ func BenchmarkAblationProductSlices(b *testing.B) {
 	benchPQA(b, ping.Options{Strategy: ping.ProductOrder})
 }
 
-// BenchmarkPQAIncremental pairs the semi-naive PQA step loop against the
-// from-scratch ablation on the same workload: "on" folds only each
-// step's newly loaded sub-partitions into the cached previous answers,
-// "off" re-joins the full accumulated slice at every step. The ratio of
-// the two is the incremental speedup on cumulative PQA cost.
+// BenchmarkPQAIncremental times the semi-naive PQA step loop on a deep
+// hierarchy: each step folds only its newly loaded sub-partitions into
+// the cached previous answers.
 func BenchmarkPQAIncremental(b *testing.B) {
 	// A deep nested-CS graph: subject s picks a depth d and gets
 	// properties p0..p(d-1), so the hierarchy has `depth` levels and a
 	// query over p0/p1 walks one PQA step per level. That is the regime
-	// the semi-naive rewrite targets: the scratch path re-joins the whole
-	// accumulated slice at each of the many steps, the incremental path
-	// only each step's delta.
+	// the semi-naive rewrite targets: each of the many steps joins only
+	// its delta, not the whole accumulated slice.
 	deepGraph := func(seed int64, subjects, depth int) *rdf.Graph {
 		rng := rand.New(rand.NewSource(seed))
 		g := rdf.NewGraph()
@@ -208,30 +205,25 @@ func BenchmarkPQAIncremental(b *testing.B) {
 		}`)
 		return lay, q
 	}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"on", false}, {"off", true}} {
-		b.Run("incremental="+mode.name, func(b *testing.B) {
-			lay, q := fixture(b)
-			proc := ping.NewProcessor(lay, ping.Options{DisableIncremental: mode.disable})
-			// One warm-up run so both modes measure evaluation with a
-			// warm sub-partition cache (load cost is mode-independent).
-			if _, err := proc.PQA(q); err != nil {
+	b.Run("incremental=on", func(b *testing.B) {
+		lay, q := fixture(b)
+		proc := ping.NewProcessor(lay, ping.Options{})
+		// One warm-up run so the loop measures evaluation with a warm
+		// sub-partition cache.
+		if _, err := proc.PQA(q); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := proc.PQA(q)
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := proc.PQA(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Final.Card() == 0 {
-					b.Fatal("empty final answer")
-				}
+			if res.Final.Card() == 0 {
+				b.Fatal("empty final answer")
 			}
-		})
-	}
+		}
+	})
 }
 
 // --- micro benchmarks on the substrates ---
@@ -527,33 +519,24 @@ func BenchmarkDictLookup(b *testing.B) {
 	})
 }
 
-// BenchmarkDictResidentFootprint runs the shop fixture's query workload
-// with compressed and raw resident blocks, reporting the bytes each
-// cached sub-partition occupies (the tentpole's headline metric) next
-// to the wall time.
+// BenchmarkDictResidentFootprint runs the shop fixture's query over
+// compressed resident blocks, reporting the bytes each cached
+// sub-partition occupies next to the wall time.
 func BenchmarkDictResidentFootprint(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		opts ping.Options
-	}{
-		{"dict", ping.Options{}},
-		{"raw", ping.Options{DisableDictEncoding: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			_, lay, q := shopFixture(b)
-			proc := ping.NewProcessor(lay, cfg.opts)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := proc.PQA(q); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("dict", func(b *testing.B) {
+		_, lay, q := shopFixture(b)
+		proc := ping.NewProcessor(lay, ping.Options{})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := proc.PQA(q); err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			if n, bytes, _ := lay.SubPartCacheStats(); n > 0 {
-				b.ReportMetric(float64(bytes)/float64(n), "B/subpart")
-			}
-		})
-	}
+		}
+		b.StopTimer()
+		if n, bytes, _ := lay.SubPartCacheStats(); n > 0 {
+			b.ReportMetric(float64(bytes)/float64(n), "B/subpart")
+		}
+	})
 }
 
 // BenchmarkAdvisorAblation closes the workload loop on the shop dataset:

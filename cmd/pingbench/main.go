@@ -47,7 +47,6 @@ func main() {
 		out         = flag.String("out", "", "write output to a file instead of stdout")
 		jsonOut     = flag.String("json-out", "", "directory to write machine-readable BENCH_<dataset>.json reports into")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and pprof on this address while running (e.g. :9090)")
-		dictMode    = flag.String("dict", "on", "dictionary-encoded resident blocks (on|off); off keeps cached sub-partitions as raw pair slices")
 
 		profileDir      = flag.String("profile-dir", "", "capture continuous CPU+heap profiles into this directory while running")
 		profileInterval = flag.Duration("profile-interval", 15*time.Second, "continuous profile capture cadence")
@@ -55,9 +54,6 @@ func main() {
 		profileMax      = flag.Int("profile-max-files", 3, "rotated profile generations kept per kind")
 	)
 	flag.Parse()
-	if *dictMode != "on" && *dictMode != "off" {
-		fatal(fmt.Errorf("-dict must be on or off, got %q", *dictMode))
-	}
 
 	if *metricsAddr != "" {
 		_, lnAddr, err := obs.Serve(*metricsAddr, obs.Default)
@@ -89,7 +85,6 @@ func main() {
 	}
 
 	suite := harness.NewSuite(*workers, *perBucket, *scale, *seed)
-	suite.DictOff = *dictMode == "off"
 	var names []string
 	if *datasets != "" {
 		names = strings.Split(*datasets, ",")

@@ -678,7 +678,6 @@ func (g *segment) event(ev obs.WideEvent, runErr error) obs.WideEvent {
 	ev.MaxLevel = g.last.MaxLevel
 	ev.RowsLoaded = g.last.RowsLoadedCum // lineage-cumulative, from the checkpoint
 	ev.CacheHits, ev.CacheMisses = rec.CacheHits, rec.CacheMisses
-	ev.Incremental = g.last.Incremental
 	ev.Degraded = g.last.Degraded
 	ev.MissingSubParts = len(g.last.MissingSubParts)
 	ev.Coverage = make([]float64, len(rec.StepAnswers))

@@ -266,7 +266,7 @@ func main() {
 			fatal(fmt.Errorf("%v\nthe store changed since the cursor was written; rerun without -resume", err))
 		}
 	} else {
-		st, err = proc.PQARun(ctx, q, budget, fn)
+		st, err = proc.PQARunOn(ctx, nil, q, budget, fn)
 	}
 	if err != nil {
 		fatal(err)

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"ping/internal/hpart"
@@ -40,7 +41,7 @@ func main() {
 	// partial answer already exact (a subset of the final result).
 	q := sparql.MustParse(`SELECT * WHERE { ?p <knows> ?q . ?p <likes> ?food }`)
 	proc := ping.NewProcessor(layout, ping.Options{})
-	err = proc.PQASteps(q, func(step ping.StepResult) bool {
+	err = proc.PQAStepsCtx(context.Background(), q, func(step ping.StepResult) bool {
 		fmt.Printf("slice %d (levels ≤%d): %d answers after %v\n",
 			step.Step, step.MaxLevel, step.Answers.Card(), step.ElapsedCum)
 		for _, binding := range step.Answers.BindingMaps() {

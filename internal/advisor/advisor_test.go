@@ -218,24 +218,21 @@ func TestApplyExactAndFaster(t *testing.T) {
 		q := sparql.MustParse(qs)
 		oracle := answerSet(engine.Naive(g, q).Distinct())
 		for _, strat := range []ping.SliceStrategy{ping.LevelCumulative, ping.ProductOrder, ping.LargestFirst, ping.SmallestFirst} {
-			for _, noInc := range []bool{false, true} {
-				for _, noJoin := range []bool{false, true} {
-					proc := ping.NewProcessor(lay, ping.Options{
-						Strategy:             strat,
-						DisableIncremental:   noInc,
-						DisableJoinReduction: noJoin,
-					})
-					_, final := stepsToFirst(t, proc, q)
-					got := answerSet(final)
-					if len(got) != len(oracle) {
-						t.Fatalf("%q strat %v inc=%v join=%v: %d answers, oracle %d",
-							qs, strat, !noInc, !noJoin, len(got), len(oracle))
-					}
-					for k := range oracle {
-						if !got[k] {
-							t.Fatalf("%q strat %v inc=%v join=%v: missing answer %s",
-								qs, strat, !noInc, !noJoin, k)
-						}
+			for _, noJoin := range []bool{false, true} {
+				proc := ping.NewProcessor(lay, ping.Options{
+					Strategy:             strat,
+					DisableJoinReduction: noJoin,
+				})
+				_, final := stepsToFirst(t, proc, q)
+				got := answerSet(final)
+				if len(got) != len(oracle) {
+					t.Fatalf("%q strat %v join=%v: %d answers, oracle %d",
+						qs, strat, !noJoin, len(got), len(oracle))
+				}
+				for k := range oracle {
+					if !got[k] {
+						t.Fatalf("%q strat %v join=%v: missing answer %s",
+							qs, strat, !noJoin, k)
 					}
 				}
 			}

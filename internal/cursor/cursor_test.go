@@ -28,7 +28,6 @@ func sampleCheckpoint() *ping.Checkpoint {
 		RowsLoadedCum: 12345,
 		ElapsedCum:    87 * time.Millisecond,
 		PrevAnswers:   42,
-		Incremental:   true,
 		PatternRels: []*engine.Relation{
 			{Vars: []string{"x", "y"}, Rows: [][]rdf.ID{{1, 2}, {3, 4}}},
 			{Vars: []string{"x", "z"}, Rows: [][]rdf.ID{{1, 9}}},
@@ -90,7 +89,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		gcp.FailurePolicy != wcp.FailurePolicy || gcp.Epoch != wcp.Epoch ||
 		gcp.LayoutSig != wcp.LayoutSig || gcp.StepsDone != wcp.StepsDone ||
 		gcp.RowsLoadedCum != wcp.RowsLoadedCum || gcp.ElapsedCum != wcp.ElapsedCum ||
-		gcp.PrevAnswers != wcp.PrevAnswers || gcp.Incremental != wcp.Incremental {
+		gcp.PrevAnswers != wcp.PrevAnswers {
 		t.Fatalf("checkpoint mismatch:\n got %+v\nwant %+v", gcp, wcp)
 	}
 	if len(gcp.LoadedKeys) != len(wcp.LoadedKeys) || gcp.LoadedKeys[1] != wcp.LoadedKeys[1] {
@@ -122,6 +121,19 @@ func TestRecordRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(good); i++ {
 		if _, err := DecodeRecord(good[:i]); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
+		}
+	}
+}
+
+// TestRecordRefusesOlderVersions: records of earlier formats (v2 had no
+// lineage totals, v3 carried the checkpoint's evaluation-mode flag) are
+// refused rather than mis-decoded, so their lineages restart.
+func TestRecordRefusesOlderVersions(t *testing.T) {
+	for _, v := range []byte{2, 3} {
+		old := EncodeRecord(sampleRecord())
+		old[len(recordMagic)] = v
+		if _, err := DecodeRecord(old); !errors.Is(err, ErrBadRecord) {
+			t.Fatalf("v%d record: err %v, want ErrBadRecord", v, err)
 		}
 	}
 }

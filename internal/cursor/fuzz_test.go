@@ -48,9 +48,11 @@ func FuzzDecodeRecord(f *testing.F) {
 	totals.Cost = prof.Snapshot{TaskNanos: 1e6, RowsLoaded: 300, BytesDecoded: 4096,
 		StorageBytesRead: 2048, CacheBytesPinned: 8192, DictDecodes: 60, PeakRelationRows: 90}
 	f.Add(EncodeRecord(totals))
-	v2 := EncodeRecord(totals)
-	v2[len(recordMagic)] = 2 // pre-totals format: refused
-	f.Add(v2)
+	for _, v := range []byte{2, 3} { // pre-totals and pre-v4 formats: refused
+		old := EncodeRecord(totals)
+		old[len(recordMagic)] = v
+		f.Add(old)
+	}
 	f.Add([]byte("PQC1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -34,7 +34,7 @@ import (
 // the version on any payload layout change.
 const (
 	recordMagic   = "PQC1"
-	recordVersion = 3 // v3 added the lineage totals after StepAnswers
+	recordVersion = 4 // v4 dropped the checkpoint's evaluation-mode flag
 )
 
 var (
@@ -261,7 +261,6 @@ func appendCheckpoint(buf []byte, cp *ping.Checkpoint) []byte {
 	buf = binary.AppendUvarint(buf, uint64(cp.RowsLoadedCum))
 	buf = binary.AppendUvarint(buf, uint64(cp.ElapsedCum))
 	buf = binary.AppendUvarint(buf, uint64(cp.PrevAnswers))
-	buf = appendBool(buf, cp.Incremental)
 	buf = binary.AppendUvarint(buf, uint64(len(cp.PatternRels)))
 	for _, rel := range cp.PatternRels {
 		buf = engine.AppendRelation(buf, rel)
@@ -339,9 +338,6 @@ func decodeCheckpoint(data []byte, cp *ping.Checkpoint) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d prev answers", ErrBadRecord, u)
 	}
 	cp.PrevAnswers = int(u)
-	if cp.Incremental, data, err = decodeBool(data); err != nil {
-		return nil, err
-	}
 	if u, data, err = decodeUvarint(data); err != nil {
 		return nil, err
 	}

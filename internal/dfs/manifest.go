@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 )
 
 // manifestName is where a disk-backed FS persists its namenode state so a
@@ -54,6 +55,8 @@ func (f *FS) SaveManifest() error {
 		m.Files = append(m.Files, mf)
 	}
 	f.mu.RUnlock()
+	// Files in path order: the same store always saves the same bytes.
+	sort.Slice(m.Files, func(i, j int) bool { return m.Files[i].Path < m.Files[j].Path })
 	data, err := json.MarshalIndent(m, "", " ")
 	if err != nil {
 		return fmt.Errorf("dfs: %w", err)

@@ -23,9 +23,10 @@ import (
 // least one new sub-partition and is skipped outright when D_j is empty.
 // FILTER, projection, and DISTINCT all distribute over union, so the
 // per-step answer *set* is identical to the from-scratch evaluation —
-// only row order may differ. LIMIT does not distribute over union, so
-// NewIncremental rejects limited queries and the caller falls back to
-// from-scratch evaluation.
+// only row order may differ. LIMIT N does not distribute over union; it
+// caps the cumulative answer list instead: once N distinct answers are
+// in, later steps append nothing, so every step's answers are a prefix
+// of the next step's and a subset of the exact answer (Lemma 4.3).
 //
 // Triple-pattern deltas are exact by construction: hierarchy levels are
 // disjoint and sub-partitions are per-property, so newly loaded groups
@@ -58,13 +59,9 @@ type Incremental struct {
 	proj      []string
 }
 
-// NewIncremental prepares a semi-naive evaluation of q. Queries with a
-// LIMIT are rejected (the union rewrite cannot reproduce limit
-// semantics); callers should evaluate those from scratch.
+// NewIncremental prepares a semi-naive evaluation of q. The error
+// return is always nil.
 func NewIncremental(q *sparql.Query, dict Dict, opts Options) (*Incremental, error) {
-	if q.Limit > 0 {
-		return nil, fmt.Errorf("engine: incremental evaluation does not support LIMIT")
-	}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = dataflow.NewContext(1)
@@ -209,7 +206,12 @@ func (inc *Incremental) Step(patDeltas, pathDeltas [][]PropGroup, span *obs.Span
 			return nil, nil, err
 		}
 		deltas[i] = d
-		if d.Card() > 0 {
+		switch {
+		case len(inc.full[i].Rows) == 0:
+			// The delta's rows are fresh and read-only from here on, so
+			// the first one becomes the accumulated relation uncopied.
+			inc.full[i].Rows = d.Rows
+		case d.Card() > 0:
 			// Appending in place is safe: old[i] snapshots the previous
 			// rows with a capped slice, so growth cannot alias it.
 			inc.full[i].Rows = append(inc.full[i].Rows, d.Rows...)
@@ -241,7 +243,7 @@ func (inc *Incremental) Step(patDeltas, pathDeltas [][]PropGroup, span *obs.Span
 	// One term per pattern with a non-empty delta: patterns before it see
 	// the extended relations, the delta pattern only its new rows, and
 	// patterns after it the pre-step relations.
-	for j := 0; j < k; j++ {
+	for j := 0; j < k && !inc.capped(); j++ {
 		if deltas[j] == nil || deltas[j].Card() == 0 {
 			continue
 		}
@@ -278,7 +280,18 @@ func (inc *Incremental) Step(patDeltas, pathDeltas [][]PropGroup, span *obs.Span
 				return nil, nil, err
 			}
 		}
+		if inc.answerSet.len() == 0 {
+			// First answers: size the set once instead of growing it.
+			n := len(res.Rows)
+			if inc.q.Limit > 0 {
+				n = min(n, inc.q.Limit)
+			}
+			inc.answerSet = newRowSet(n)
+		}
 		for _, row := range res.Rows {
+			if inc.capped() {
+				break
+			}
 			if inc.answerSet.add(row) {
 				inc.answers.Rows = append(inc.answers.Rows, row)
 			}
@@ -286,4 +299,9 @@ func (inc *Incremental) Step(patDeltas, pathDeltas [][]PropGroup, span *obs.Span
 	}
 	stats.OutputRows = int64(inc.answers.Card())
 	return inc.Answers(), stats, nil
+}
+
+// capped reports whether the answer list has reached the query's LIMIT.
+func (inc *Incremental) capped() bool {
+	return inc.q.Limit > 0 && len(inc.answers.Rows) >= inc.q.Limit
 }

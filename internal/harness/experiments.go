@@ -444,13 +444,11 @@ func (s *Suite) Ablation() (*Report, error) {
 		opts ping.Options
 	}{
 		{"baseline", ping.Options{}},
-		{"incremental off (scratch re-eval)", ping.Options{DisableIncremental: true}},
 		{"no sub-partition pruning", ping.Options{DisableSubPartPruning: true}},
 		{"no SI/OI index pruning", ping.Options{DisableIndexPruning: true}},
 		{"largest level first", ping.Options{Strategy: ping.LargestFirst}},
 		{"smallest level first", ping.Options{Strategy: ping.SmallestFirst}},
 		{"product slices (Alg. 2 literal)", ping.Options{Strategy: ping.ProductOrder}},
-		{"dict encoding off (raw resident pairs)", ping.Options{DisableDictEncoding: true}},
 	}
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)

@@ -37,10 +37,6 @@ type Suite struct {
 	Scale float64
 	// Seed makes runs reproducible.
 	Seed int64
-	// DictOff disables dictionary-encoded resident blocks in every
-	// processor the suite builds (the pingbench -dict=off ablation):
-	// cached sub-partitions stay as raw pair slices.
-	DictOff bool
 
 	mu    sync.Mutex
 	cache map[string]*BuiltDataset
@@ -147,9 +143,6 @@ func rawColumnarSize(g *rdf.Graph) int64 {
 func (s *Suite) Processor(b *BuiltDataset, opts ping.Options) *ping.Processor {
 	if opts.Context == nil {
 		opts.Context = s.ctx
-	}
-	if s.DictOff {
-		opts.DisableDictEncoding = true
 	}
 	return ping.NewProcessor(b.Layout, opts)
 }

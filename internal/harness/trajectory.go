@@ -54,21 +54,6 @@ type BenchQuery struct {
 	StepP99Ms float64 `json:"step_p99_ms"`
 }
 
-// BenchDictRow is one configuration of the dictionary-encoding ablation:
-// the whole workload run with compressed (delta-varint) or raw resident
-// sub-partition blocks, with the cache's resident footprint after the run.
-type BenchDictRow struct {
-	Config        string `json:"config"` // "dict" or "dict=off"
-	CacheEntries  int    `json:"cache_entries"`
-	CacheBytes    int64  `json:"cache_bytes"`
-	CacheRawBytes int64  `json:"cache_raw_bytes"`
-	// BytesPerSubPart is CacheBytes / CacheEntries — the headline
-	// resident-set-per-cached-sub-partition number.
-	BytesPerSubPart float64 `json:"bytes_per_cached_subpart"`
-	PQATotalMs      float64 `json:"pqa_total_ms"`
-	EQATotalMs      float64 `json:"eqa_total_ms"`
-}
-
 // BenchAdvisorRow is one configuration of the workload-adaptive layout
 // ablation: the workload's hot fingerprints replayed on the layout the
 // partitioner built ("unadvised") and on the layout the advisor
@@ -93,15 +78,14 @@ type BenchAdvisorRow struct {
 // BenchReport is the machine-readable result of one dataset's workload —
 // what pingbench -json-out writes as BENCH_<dataset>.json.
 type BenchReport struct {
-	Dataset      string            `json:"dataset"`
-	Triples      int               `json:"triples"`
-	Levels       int               `json:"levels"`
-	Workers      int               `json:"workers"`
-	Scale        float64           `json:"scale"`
-	Seed         int64             `json:"seed"`
-	Queries      []BenchQuery      `json:"queries"`
-	DictAblation []BenchDictRow    `json:"dict_ablation"`
-	Advisor      []BenchAdvisorRow `json:"advisor,omitempty"`
+	Dataset string            `json:"dataset"`
+	Triples int               `json:"triples"`
+	Levels  int               `json:"levels"`
+	Workers int               `json:"workers"`
+	Scale   float64           `json:"scale"`
+	Seed    int64             `json:"seed"`
+	Queries []BenchQuery      `json:"queries"`
+	Advisor []BenchAdvisorRow `json:"advisor,omitempty"`
 }
 
 // BenchJSON runs the standard workload of one dataset progressively and
@@ -164,38 +148,6 @@ func (s *Suite) BenchJSON(name string) (*BenchReport, error) {
 		bq.EQAMs = ms(time.Since(t0))
 
 		rep.Queries = append(rep.Queries, bq)
-	}
-
-	// Dictionary-encoding ablation: the same workload end-to-end with
-	// compressed resident blocks and with raw pair slices. Flipping the
-	// mode drops the shared cache, so each row's footprint reflects only
-	// its own representation.
-	for _, cfg := range []struct {
-		name string
-		opts ping.Options
-	}{
-		{"dict", ping.Options{}},
-		{"dict=off", ping.Options{DisableDictEncoding: true}},
-	} {
-		proc := s.Processor(b, cfg.opts)
-		row := BenchDictRow{Config: cfg.name}
-		for _, lq := range s.Workload(b).All() {
-			t0 := time.Now()
-			if _, err := proc.PQACtx(context.Background(), lq.Query); err != nil {
-				return nil, err
-			}
-			row.PQATotalMs += ms(time.Since(t0))
-			t0 = time.Now()
-			if _, err := proc.EQAFull(context.Background(), lq.Query); err != nil {
-				return nil, err
-			}
-			row.EQATotalMs += ms(time.Since(t0))
-		}
-		row.CacheEntries, row.CacheBytes, row.CacheRawBytes = b.Layout.SubPartCacheStats()
-		if row.CacheEntries > 0 {
-			row.BytesPerSubPart = float64(row.CacheBytes) / float64(row.CacheEntries)
-		}
-		rep.DictAblation = append(rep.DictAblation, row)
 	}
 
 	adv, err := s.AdvisorAblation(b)

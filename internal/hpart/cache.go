@@ -47,9 +47,6 @@ type subPartCache struct {
 	// invalidatedAt records, per key, the ticket of its last invalidate.
 	ticket        uint64
 	invalidatedAt map[cacheKey]uint64
-	// raw disables delta-varint packing of resident entries (the -dict=off
-	// ablation): misses are cached as plain pair slices instead.
-	raw bool
 	// bytes / rawBytes track the resident payload across entries and what
 	// the same entries would cost uncompressed.
 	bytes    int64
@@ -79,28 +76,6 @@ func (c *subPartCache) get(key cacheKey) (rdf.PairBlock, bool) {
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).block, true
-}
-
-// rawMode reports whether resident entries should stay unpacked.
-func (c *subPartCache) rawMode() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.raw
-}
-
-// setRaw switches the resident representation. Flipping drops every entry:
-// an ablation run must measure its own representation, not inherit blocks
-// packed under the previous mode.
-func (c *subPartCache) setRaw(raw bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.raw == raw {
-		return
-	}
-	c.raw = raw
-	c.ll.Init()
-	c.entries = make(map[cacheKey]*list.Element, c.cap)
-	c.bytes, c.rawBytes = 0, 0
 }
 
 // stats returns the entry count, resident payload bytes, and the
@@ -231,17 +206,6 @@ func (l *Layout) SubPartCacheStats() (entries int, bytes, rawBytes int64) {
 	return 0, 0, 0
 }
 
-// SetResidentRaw selects the resident representation of cached
-// sub-partitions: packed delta-varint blocks (default) or raw pair slices
-// (the -dict=off ablation). Flipping the mode drops the cache so
-// measurements never mix representations. Safe to call on layouts without
-// an installed cache (no-op).
-func (l *Layout) SetResidentRaw(raw bool) {
-	if c := l.subPartCache(); c != nil {
-		c.setRaw(raw)
-	}
-}
-
 func (l *Layout) subPartCache() *subPartCache {
 	l.cacheMu.Lock()
 	c := l.cache
@@ -260,13 +224,12 @@ func (l *Layout) invalidateSubPart(key SubPartKey) {
 // ReadSubPartitionCached is ReadSubPartitionCtx through the layout's LRU
 // cache: a hit returns the resident block without touching storage
 // (blocks are immutable and shared between callers). On a miss the
-// decoded rows are packed into a delta-varint block before insertion
-// (unless the cache is in raw mode — the -dict=off ablation) so the
-// cache's resident set holds compressed sorted ID columns, not 8-byte
+// decoded rows are packed into a delta-varint block before insertion, so
+// the cache's resident set holds compressed sorted ID columns, not 8-byte
 // pairs. Without an installed cache it degrades to a plain read with
-// hit=false. Failed reads are never cached, and a read that raced a
-// rewrite of the same generation is dropped rather than cached (see
-// subPartCache).
+// hit=false and a raw block. Failed reads are never cached, and a read
+// that raced a rewrite of the same generation is dropped rather than
+// cached (see subPartCache).
 func (l *Layout) ReadSubPartitionCached(ctx context.Context, key SubPartKey) (block rdf.PairBlock, hit bool, err error) {
 	c := l.subPartCache()
 	ck := cacheKey{key: key, gen: l.gen[key]}
@@ -284,13 +247,10 @@ func (l *Layout) ReadSubPartitionCached(ctx context.Context, key SubPartKey) (bl
 	if l.readHook != nil {
 		l.readHook(key)
 	}
-	if c != nil && !c.rawMode() {
-		block = rdf.PackPairs(pairs)
-	} else {
-		block = rdf.RawPairs(pairs)
+	if c == nil {
+		return rdf.RawPairs(pairs), false, nil
 	}
-	if c != nil {
-		c.put(ck, block, ticket)
-	}
+	block = rdf.PackPairs(pairs)
+	c.put(ck, block, ticket)
 	return block, false, nil
 }

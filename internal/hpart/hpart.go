@@ -209,7 +209,10 @@ func Partition(g *rdf.Graph, opts Options) (*Layout, error) {
 	if opts.BuildBlooms {
 		lay.blooms = make(map[SubPartKey]SubPartBlooms, len(sub))
 	}
-	for key, pairs := range sub {
+	// Files are created in key order so block placement, and with it
+	// every block file and the manifest, is the same on every run.
+	for _, key := range sortedSubParts(sub) {
+		pairs := sub[key]
 		// Persist in (S, O) order: sorted columns delta-compress better on
 		// disk and let the resident cache pack without re-sorting.
 		sort.Slice(pairs, func(i, j int) bool { return rdf.SOPairLess(pairs[i], pairs[j]) })

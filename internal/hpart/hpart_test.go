@@ -1,8 +1,12 @@
 package hpart
 
 import (
+	"bytes"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ping/internal/cs"
@@ -346,5 +350,60 @@ func TestMultiTypeSubjectSingleLevel(t *testing.T) {
 	}
 	if lay.TotalTriples() != 3 {
 		t.Errorf("TotalTriples = %d, want 3 (type triples partition like any other)", lay.TotalTriples())
+	}
+}
+
+// TestPartitionSameGraphSameBytes: partitioning one graph into two
+// on-disk stores must produce byte-identical files — the sub-partitions,
+// the index files, meta.pcol, the dictionary, the manifest and every
+// block file — so a store is a pure function of its graph.
+func TestPartitionSameGraphSameBytes(t *testing.T) {
+	g := randomGraph(11, 300, 5)
+	build := func() string {
+		dir := t.TempDir()
+		store, err := dfs.NewOnDisk(dir, dfs.Config{DataNodes: 3, Replication: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lay, err := Partition(g, Options{FS: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lay.SaveDict(); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.SaveManifest(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	dirA, dirB := build(), build()
+	files := func(dir string) map[string][]byte {
+		out := make(map[string][]byte)
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			rel, _ := filepath.Rel(dir, path)
+			out[rel] = data
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	a, b := files(dirA), files(dirB)
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("stores hold %d and %d files", len(a), len(b))
+	}
+	for name, data := range a {
+		if !bytes.Equal(data, b[name]) {
+			t.Errorf("%s differs between two partitions of the same graph (%d vs %d bytes)", name, len(data), len(b[name]))
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package hpart
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ping/internal/columnar"
 	"ping/internal/dfs"
@@ -29,7 +31,9 @@ func joinSet(lo, hi uint32) LevelSet {
 // writeIndexes persists VP, SI, OI and the layout metadata. Indexes are
 // stored as columnar files (IDs plus level bitmasks), the same storage
 // substrate as the data, matching the paper's "indexes are stored in HDFS
-// and loaded into Spark memory at query-processor startup" (§3.7).
+// and loaded into Spark memory at query-processor startup" (§3.7). Every
+// map is written in sorted key order, so the same layout always yields
+// the same bytes.
 func (l *Layout) writeIndexes() error {
 	write := func(path string, cols [][]uint32) error {
 		w, err := l.fs.Create(path)
@@ -48,8 +52,8 @@ func (l *Layout) writeIndexes() error {
 
 	// VP: property → level set.
 	vp := make([][]uint32, 3)
-	for p, set := range l.VP {
-		lo, hi := splitSet(set)
+	for _, p := range sortedKeys(l.VP) {
+		lo, hi := splitSet(l.VP[p])
 		vp[0] = append(vp[0], p)
 		vp[1] = append(vp[1], lo)
 		vp[2] = append(vp[2], hi)
@@ -60,9 +64,9 @@ func (l *Layout) writeIndexes() error {
 
 	// SI: subject → level.
 	si := make([][]uint32, 2)
-	for s, level := range l.SI {
+	for _, s := range sortedKeys(l.SI) {
 		si[0] = append(si[0], s)
-		si[1] = append(si[1], uint32(level))
+		si[1] = append(si[1], uint32(l.SI[s]))
 	}
 	if err := write(siPath, si); err != nil {
 		return err
@@ -70,8 +74,8 @@ func (l *Layout) writeIndexes() error {
 
 	// OI: object → level set.
 	oi := make([][]uint32, 3)
-	for o, set := range l.OI {
-		lo, hi := splitSet(set)
+	for _, o := range sortedKeys(l.OI) {
+		lo, hi := splitSet(l.OI[o])
 		oi[0] = append(oi[0], o)
 		oi[1] = append(oi[1], lo)
 		oi[2] = append(oi[2], hi)
@@ -96,19 +100,41 @@ func (l *Layout) writeIndexes() error {
 		meta[1] = append(meta[1], uint32(uint64(n)&0xffffffff))
 		meta[2] = append(meta[2], uint32(uint64(n)>>32))
 	}
-	for key, rows := range l.SubPartRows {
+	for _, key := range sortedSubParts(l.SubPartRows) {
 		meta[3] = append(meta[3], uint32(key.Level))
 		meta[4] = append(meta[4], key.Prop)
-		meta[5] = append(meta[5], uint32(rows))
+		meta[5] = append(meta[5], uint32(l.SubPartRows[key]))
 		meta[6] = append(meta[6], uint32(l.gen[key]))
 	}
 	if cols == 9 {
-		for logical, phys := range l.LevelMap {
+		for _, logical := range sortedKeys(l.LevelMap) {
 			meta[7] = append(meta[7], uint32(logical))
-			meta[8] = append(meta[8], uint32(phys))
+			meta[8] = append(meta[8], uint32(l.LevelMap[logical]))
 		}
 	}
 	return write(metaPath, meta)
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// sortedSubParts returns m's sub-partition keys in (level, prop) order.
+func sortedSubParts[V any](m map[SubPartKey]V) []SubPartKey {
+	keys := make([]SubPartKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b SubPartKey) int {
+		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Prop, b.Prop))
+	})
+	return keys
 }
 
 // SaveDict persists the term dictionary alongside the partitions so a

@@ -65,41 +65,55 @@ type SnapshotMetric struct {
 	Buckets []SnapshotBucket `json:"buckets,omitempty"`
 }
 
-// Snapshot freezes every series of the registry, sorted by name then
-// label signature, so exports are deterministic.
-func (r *Registry) Snapshot() []SnapshotMetric {
+// frozenSeries is one series' identity and metric handles, copied under
+// the registry lock so exporters never read a family or series field that
+// a concurrent registration is writing.
+type frozenSeries struct {
+	name, typ, help, sig string
+	counter              *Counter
+	gauge                *Gauge
+	hist                 *Histogram
+}
+
+// freeze copies every series of the registry, sorted by name then label
+// signature, while holding r.mu. Families described but never populated
+// contribute no series.
+func (r *Registry) freeze() []frozenSeries {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.families))
 	for n := range r.families {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	type frozenSeries struct {
-		fam *family
-		sig string
-		s   *series
-	}
-	var frozen []frozenSeries
+	var out []frozenSeries
 	for _, n := range names {
 		f := r.families[n]
 		sigs := append([]string(nil), f.order...)
 		sort.Strings(sigs)
 		for _, sig := range sigs {
-			frozen = append(frozen, frozenSeries{fam: f, sig: sig, s: f.series[sig]})
+			s := f.series[sig]
+			out = append(out, frozenSeries{name: f.name, typ: f.typ, help: f.help, sig: sig,
+				counter: s.counter, gauge: s.gauge, hist: s.hist})
 		}
 	}
-	r.mu.Unlock()
+	return out
+}
 
+// Snapshot freezes every series of the registry, sorted by name then
+// label signature, so exports are deterministic.
+func (r *Registry) Snapshot() []SnapshotMetric {
+	frozen := r.freeze()
 	out := make([]SnapshotMetric, 0, len(frozen))
 	for _, fr := range frozen {
-		m := SnapshotMetric{Name: fr.fam.name, Type: fr.fam.typ, Labels: parseLabels(fr.sig)}
+		m := SnapshotMetric{Name: fr.name, Type: fr.typ, Labels: parseLabels(fr.sig)}
 		switch {
-		case fr.s.counter != nil:
-			m.Value = float64(fr.s.counter.Value())
-		case fr.s.gauge != nil:
-			m.Value = fr.s.gauge.Value()
-		case fr.s.hist != nil:
-			h := fr.s.hist
+		case fr.counter != nil:
+			m.Value = float64(fr.counter.Value())
+		case fr.gauge != nil:
+			m.Value = fr.gauge.Value()
+		case fr.hist != nil:
+			h := fr.hist
 			m.Count = h.Count()
 			m.Sum = h.Sum()
 			counts := h.BucketCounts()
@@ -162,43 +176,23 @@ func parseLabels(sig string) map[string]string {
 // format (version 0.0.4): # HELP / # TYPE comments per family, one line
 // per series, histogram buckets cumulative with the `le` label.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	sigsByFam := make([][]string, len(names))
-	for i, n := range names {
-		fams[i] = r.families[n]
-		s := append([]string(nil), fams[i].order...)
-		sort.Strings(s)
-		sigsByFam[i] = s
-	}
-	r.mu.Unlock()
-
 	var b strings.Builder
-	for i, f := range fams {
-		if f.typ == "" {
-			continue // described but never populated
-		}
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		for _, sig := range sigsByFam[i] {
-			r.mu.Lock()
-			s := f.series[sig]
-			r.mu.Unlock()
-			switch {
-			case s.counter != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, sig, s.counter.Value())
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, sig, formatFloat(s.gauge.Value()))
-			case s.hist != nil:
-				writePromHistogram(&b, f.name, sig, s.hist)
+	family := ""
+	for _, fr := range r.freeze() {
+		if fr.name != family {
+			family = fr.name
+			if fr.help != "" {
+				fmt.Fprintf(&b, "# HELP %s %s\n", fr.name, escapeHelp(fr.help))
 			}
+			fmt.Fprintf(&b, "# TYPE %s %s\n", fr.name, fr.typ)
+		}
+		switch {
+		case fr.counter != nil:
+			fmt.Fprintf(&b, "%s%s %d\n", fr.name, fr.sig, fr.counter.Value())
+		case fr.gauge != nil:
+			fmt.Fprintf(&b, "%s%s %s\n", fr.name, fr.sig, formatFloat(fr.gauge.Value()))
+		case fr.hist != nil:
+			writePromHistogram(&b, fr.name, fr.sig, fr.hist)
 		}
 	}
 	_, err := io.WriteString(w, b.String())

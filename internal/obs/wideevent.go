@@ -76,10 +76,9 @@ type WideEvent struct {
 	Answers    int   `json:"answers"`
 	RowsLoaded int64 `json:"rows_loaded,omitempty"`
 	// CacheHits / CacheMisses count decoded sub-partition cache
-	// behaviour; Incremental reports semi-naive evaluation.
+	// behaviour.
 	CacheHits   int64 `json:"cache_hits,omitempty"`
 	CacheMisses int64 `json:"cache_misses,omitempty"`
-	Incremental bool  `json:"incremental,omitempty"`
 	// Degraded and MissingSubParts report sub-partitions skipped as
 	// unreadable (the answers remain a sound subset).
 	Degraded        bool `json:"degraded,omitempty"`

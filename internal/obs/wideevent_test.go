@@ -40,7 +40,6 @@ func TestEventLogRoundTrip(t *testing.T) {
 		RowsLoaded:         1000,
 		CacheHits:          3,
 		CacheMisses:        5,
-		Incremental:        true,
 		Degraded:           true,
 		MissingSubParts:    2,
 		LatencyMs:          12.75,

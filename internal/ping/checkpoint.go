@@ -9,7 +9,7 @@
 // is recomputed identically from the pinned layout, so "resume after
 // step k" is exactly "skip the first k scheduled steps and restore C".
 // C itself is restored from the checkpoint: the set of loaded (and
-// missing) sub-partition keys plus, for incremental runs, the
+// missing) sub-partition keys plus the semi-naive evaluator's
 // per-pattern accumulated relations and cached answers. Re-running the
 // remaining steps then produces the same per-step answer sets — and the
 // final step still evaluates the maximal slice, so Theorem 4.5's
@@ -138,20 +138,29 @@ type Checkpoint struct {
 	RowsLoadedCum int64
 	ElapsedCum    time.Duration
 	PrevAnswers   int
-	// Incremental records the evaluation mode. When true, PatternRels
-	// holds the semi-naive evaluator's accumulated per-pattern relations
-	// (triple patterns first, then paths) and Answers its cached
-	// distinct answers — restoring them makes resume O(path data re-read)
-	// instead of O(re-evaluate everything). When false (scratch mode:
-	// LIMIT queries or the ablation flag), the accumulator is rebuilt by
-	// re-reading LoadedKeys and Answers is informational only.
-	Incremental bool
+	// PatternRels holds the semi-naive evaluator's accumulated
+	// per-pattern relations (triple patterns first, then paths) and
+	// Answers its cached distinct answers — restoring them makes resume
+	// O(path data re-read) instead of O(re-evaluate everything).
 	PatternRels []*engine.Relation
 	Answers     *engine.Relation
 }
 
+// runMode is the data that tells the three kinds of run apart: the pprof
+// stage label, the root span name, and the mode label of
+// ping_queries_total and ping_query_seconds.
+type runMode struct{ stage, span, label string }
+
+var (
+	modePQA    = runMode{stage: "pqa", span: "pqa", label: "pqa"}
+	modeResume = runMode{stage: "resume", span: "pqa", label: "pqa"}
+	// modeEQA runs one step over the maximal slice (Algorithm 3).
+	modeEQA = runMode{stage: "eqa", span: "eqa", label: "eqa"}
+)
+
 // runConfig parameterizes one segment of the core runner.
 type runConfig struct {
+	mode runMode
 	// cp, when non-nil, resumes the run after cp.StepsDone steps.
 	cp *Checkpoint
 	// budget bounds the segment.
@@ -162,33 +171,27 @@ type runConfig struct {
 	checkpoints bool
 }
 
-// PQARun executes a (possibly budget-bounded) PQA over the current
-// snapshot. fn receives every step plus the checkpoint that resumes
-// after it (nil unless checkpointing is on — PQARun always turns it on).
-// The returned status says whether the run completed or paused, and on a
-// pause carries the resumable checkpoint.
-func (p *Processor) PQARun(ctx context.Context, q *sparql.Query, budget Budget, fn func(StepResult, *Checkpoint) bool) (*RunStatus, error) {
-	return p.PQARunOn(ctx, nil, q, budget, fn)
-}
-
-// PQARunOn is PQARun on an explicit layout snapshot — typically one
-// held by an hpart lease, so a pause can hand the same pinned snapshot
-// to a later resume. A nil lay pins the processor's current snapshot
-// for the duration of the call.
+// PQARunOn executes a (possibly budget-bounded) PQA on an explicit
+// layout snapshot — typically one held by an hpart lease, so a pause can
+// hand the same pinned snapshot to a later resume. A nil lay pins the
+// processor's current snapshot for the duration of the call. fn receives
+// every step plus the checkpoint that resumes after it. The returned
+// status says whether the run completed or paused, and on a pause
+// carries the resumable checkpoint.
 func (p *Processor) PQARunOn(ctx context.Context, lay *hpart.Layout, q *sparql.Query, budget Budget, fn func(StepResult, *Checkpoint) bool) (*RunStatus, error) {
 	if lay == nil {
 		var release func()
 		lay, release = p.pin()
 		defer release()
 	}
-	return p.runPQA(ctx, lay, q, runConfig{budget: budget, checkpoints: true}, fn)
+	return p.runPQA(ctx, lay, q, runConfig{mode: modePQA, budget: budget, checkpoints: true}, fn)
 }
 
 // PQAResumeRun continues a checkpointed run on lay, which must be the
 // snapshot the checkpoint was taken against (same content signature) —
 // typically obtained from an hpart lease. A nil lay pins the processor's
 // current snapshot. It returns ErrSnapshotMismatch when the data
-// changed; the caller should then start a fresh PQARun on the current
+// changed; the caller should then start a fresh PQARunOn on the current
 // snapshot and mark the lineage restarted.
 func (p *Processor) PQAResumeRun(ctx context.Context, lay *hpart.Layout, cp *Checkpoint, budget Budget, fn func(StepResult, *Checkpoint) bool) (*RunStatus, error) {
 	if cp == nil {
@@ -225,30 +228,27 @@ func (p *Processor) PQAResumeRun(ctx context.Context, lay *hpart.Layout, cp *Che
 	if err != nil {
 		return nil, fmt.Errorf("ping: checkpoint query: %w", err)
 	}
-	return p.runPQA(ctx, lay, q, runConfig{cp: cp, budget: budget, checkpoints: true}, fn)
+	return p.runPQA(ctx, lay, q, runConfig{mode: modeResume, cp: cp, budget: budget, checkpoints: true}, fn)
 }
 
 // runPQA stamps the query's pprof labels (query_fp from the context,
-// trace_id, stage pqa/resume) onto the executing goroutine — dataflow
+// trace_id, stage pqa/resume/eqa) onto the executing goroutine — dataflow
 // workers spawned under it inherit them, so CPU profile samples
-// attribute to the fingerprint — then runs the progressive loop.
+// attribute to the fingerprint — then runs the step loop.
 func (p *Processor) runPQA(ctx context.Context, lay *hpart.Layout, q *sparql.Query, rc runConfig, fn func(StepResult, *Checkpoint) bool) (status *RunStatus, err error) {
 	ctx = ensureQueryFP(ctx, q)
-	stage := "pqa"
-	if rc.cp != nil {
-		stage = "resume"
-	}
-	prof.Do(ctx, stage, func(ctx context.Context) {
-		status, err = p.runPQASteps(ctx, lay, q, rc, fn)
+	prof.Do(ctx, rc.mode.stage, func(ctx context.Context) {
+		status, err = p.runSteps(ctx, lay, q, rc, fn)
 	})
 	return status, err
 }
 
-// runPQASteps is the core progressive loop shared by PQAStepsCtx, PQARun
-// and PQAResumeRun: schedule (or re-derive) the slice steps on the pinned
-// snapshot, restore the accumulator if resuming, then execute steps
-// until the schedule, the budget, or the callback says stop.
-func (p *Processor) runPQASteps(ctx context.Context, lay *hpart.Layout, q *sparql.Query, rc runConfig, fn func(StepResult, *Checkpoint) bool) (*RunStatus, error) {
+// runSteps is the one step loop behind every entry point: schedule
+// (or re-derive) the slice steps on the pinned snapshot — for EQA a
+// single step over the maximal slice — restore the accumulator if
+// resuming, then execute steps until the schedule, the budget, or the
+// callback says stop.
+func (p *Processor) runSteps(ctx context.Context, lay *hpart.Layout, q *sparql.Query, rc runConfig, fn func(StepResult, *Checkpoint) bool) (*RunStatus, error) {
 	if len(q.Patterns)+len(q.Paths) == 0 {
 		return nil, fmt.Errorf("ping: query has no patterns")
 	}
@@ -274,8 +274,12 @@ func (p *Processor) runPQASteps(ctx context.Context, lay *hpart.Layout, q *sparq
 		}
 	}
 
-	steps, err := p.sliceSchedule(lay, append(append([][]hpart.SubPartKey{}, hl...), hlPaths...))
-	if err != nil {
+	all := append(append([][]hpart.SubPartKey{}, hl...), hlPaths...)
+	var steps []scheduledStep
+	var err error
+	if rc.mode == modeEQA {
+		steps = maximalSlice(all)
+	} else if steps, err = p.sliceSchedule(lay, all); err != nil {
 		return nil, err
 	}
 	status.PlannedSteps = len(steps)
@@ -293,7 +297,7 @@ func (p *Processor) runPQASteps(ctx context.Context, lay *hpart.Layout, q *sparq
 	}
 	status.StepsDone = startStep
 
-	ctx, qspan := obs.StartSpan(ctx, "pqa")
+	ctx, qspan := obs.StartSpan(ctx, rc.mode.span)
 	defer qspan.End()
 	qspan.SetAttr("strategy", p.opts.Strategy.String())
 	qspan.SetAttr("patterns", len(q.Patterns))
@@ -308,23 +312,19 @@ func (p *Processor) runPQASteps(ctx context.Context, lay *hpart.Layout, q *sparq
 	detach := p.ctx.AttachContext(ctx)
 	defer detach()
 
-	p.met.pqaQueries.Inc()
-	incremental := !p.opts.DisableIncremental
-	if rc.cp != nil {
-		// Mirror the original segment's mode: an incremental checkpoint
-		// carries relations, a scratch one only keys.
-		incremental = incremental && rc.cp.Incremental
+	p.met.queries[rc.mode.label].Inc()
+	state, err := newEvalState(p, lay, q, hl, hlPaths)
+	if err != nil {
+		return nil, err
 	}
-	state := newEvalState(p, lay, q, hl, hlPaths, incremental)
 	if rc.cp != nil {
 		if err := state.restore(ctx, rc.cp); err != nil {
 			return nil, err
 		}
 	}
-	qspan.SetAttr("incremental", state.inc != nil)
 	start := time.Now()
 	tid := obs.TraceIDFromContext(ctx)
-	defer func() { p.met.pqaSeconds.ObserveExemplar(time.Since(start).Seconds(), tid) }()
+	defer func() { p.met.querySeconds[rc.mode.label].ObserveExemplar(time.Since(start).Seconds(), tid) }()
 
 	// Cumulative elapsed time continues across segments.
 	var elapsedBase time.Duration
@@ -435,10 +435,10 @@ func (p *Processor) runPQASteps(ctx context.Context, lay *hpart.Layout, q *sparq
 			ElapsedCum:      cum,
 			CacheHits:       state.cacheHitsStep,
 			CacheMisses:     state.cacheMissesStep,
-			Incremental:     state.inc != nil,
 			Degraded:        len(state.missing) > 0,
 			MissingSubParts: append([]hpart.SubPartKey(nil), state.missing...),
 			Epoch:           lay.Epoch(),
+			stats:           state.lastStats,
 		}
 		ss.SetAttr("step", sr.Step)
 		ss.SetAttr("max_level", sr.MaxLevel)
@@ -466,9 +466,6 @@ func (p *Processor) runPQASteps(ctx context.Context, lay *hpart.Layout, q *sparq
 		p.met.missingSubparts.Add(int64(missedNow))
 		if sr.Degraded {
 			p.met.degradedSteps.Inc()
-		}
-		if state.inc != nil {
-			p.met.incSteps.Inc()
 		}
 		p.met.stepSeconds.ObserveExemplar(el.Seconds(), tid)
 
@@ -516,30 +513,20 @@ func (st *evalState) checkpoint(q *sparql.Query, lay *hpart.Layout, sr StepResul
 		RowsLoadedCum: st.rowsLoadedCum,
 		ElapsedCum:    sr.ElapsedCum,
 		PrevAnswers:   sr.Answers.Card(),
-		Incremental:   st.inc != nil,
 	}
-	if st.inc != nil {
-		cp.PatternRels, cp.Answers = st.inc.Snapshot()
-	} else {
-		rows := sr.Answers.Rows
-		cp.Answers = &engine.Relation{Vars: sr.Answers.Vars, Rows: rows[:len(rows):len(rows)]}
-	}
+	cp.PatternRels, cp.Answers = st.inc.Snapshot()
 	return cp
 }
 
-// restore rebuilds the accumulator C from a checkpoint. Incremental
-// checkpoints carry their per-pattern relations, so only the data path
-// patterns recompute over (their accumulated groups) is re-read from
-// storage; scratch checkpoints re-read every loaded key. Group lists are
-// keyed and sorted by (level, prop), so a rebuilt accumulator evaluates
-// identically to the original regardless of arrival order.
+// restore rebuilds the accumulator C from a checkpoint. The checkpoint
+// carries the per-pattern relations, so only the data path patterns
+// recompute over (their accumulated groups) is re-read from storage, in
+// load order — the order the original run fed those groups in.
 func (st *evalState) restore(ctx context.Context, cp *Checkpoint) error {
-	if st.inc != nil {
-		wantRels := len(st.q.Patterns) + len(st.q.Paths)
-		if len(cp.PatternRels) != wantRels {
-			return fmt.Errorf("ping: checkpoint has %d relations for %d patterns: %w",
-				len(cp.PatternRels), wantRels, ErrSnapshotMismatch)
-		}
+	wantRels := len(st.q.Patterns) + len(st.q.Paths)
+	if len(cp.PatternRels) != wantRels {
+		return fmt.Errorf("ping: checkpoint has %d relations for %d patterns: %w",
+			len(cp.PatternRels), wantRels, ErrSnapshotMismatch)
 	}
 	for _, k := range cp.MissingKeys {
 		if !st.missingSet[k] {
@@ -554,10 +541,6 @@ func (st *evalState) restore(ctx context.Context, cp *Checkpoint) error {
 		}
 		st.loadedSet[k] = true
 		st.loaded = append(st.loaded, k)
-		if st.inc == nil {
-			toRead = append(toRead, k)
-			continue
-		}
 		for _, set := range st.hlPathSet {
 			if set[k] {
 				toRead = append(toRead, k)
@@ -566,10 +549,7 @@ func (st *evalState) restore(ctx context.Context, cp *Checkpoint) error {
 		}
 	}
 
-	var pathGroups [][]engine.PropGroup
-	if st.inc != nil {
-		pathGroups = make([][]engine.PropGroup, len(st.q.Paths))
-	}
+	pathGroups := make([][]engine.PropGroup, len(st.q.Paths))
 	if len(toRead) > 0 {
 		results := dataflow.Map(
 			dataflow.Parallelize(st.p.ctx, toRead, 0),
@@ -600,26 +580,15 @@ func (st *evalState) restore(ctx context.Context, cp *Checkpoint) error {
 				}
 				return r.err
 			}
-			g := engine.PropGroup{Prop: k.Prop, Rows: r.block}
-			for pi, set := range st.hlSet {
-				if set[k] {
-					st.patGroups[pi].insert(k, r.block)
-				}
-			}
 			for pi, set := range st.hlPathSet {
 				if set[k] {
-					st.pathGroups[pi].insert(k, r.block)
-					if pathGroups != nil {
-						pathGroups[pi] = append(pathGroups[pi], g)
-					}
+					pathGroups[pi] = append(pathGroups[pi], engine.PropGroup{Prop: k.Prop, Rows: r.block})
 				}
 			}
 		}
 	}
-	if st.inc != nil {
-		if err := st.inc.Restore(cp.PatternRels, pathGroups, cp.Answers); err != nil {
-			return fmt.Errorf("%v: %w", err, ErrSnapshotMismatch)
-		}
+	if err := st.inc.Restore(cp.PatternRels, pathGroups, cp.Answers); err != nil {
+		return fmt.Errorf("%v: %w", err, ErrSnapshotMismatch)
 	}
 	// Restore reads refill the accumulator; they do not re-count as data
 	// newly contributed to the run, so the resumed segment's cumulative

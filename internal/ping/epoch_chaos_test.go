@@ -1,6 +1,7 @@
 package ping
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -210,7 +211,7 @@ func TestPQAPinBlocksGC(t *testing.T) {
 
 	q := sparql.MustParse(`SELECT * WHERE { ?x <p0> ?y . ?y <p0> ?z }`)
 	applied := false
-	err = p.PQASteps(q, func(st StepResult) bool {
+	err = p.PQAStepsCtx(context.Background(), q, func(st StepResult) bool {
 		if applied {
 			return true
 		}

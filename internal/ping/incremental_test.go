@@ -1,6 +1,7 @@
 package ping
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,52 +10,114 @@ import (
 	"ping/internal/engine"
 	"ping/internal/faults"
 	"ping/internal/hpart"
+	"ping/internal/rdf"
 	"ping/internal/sparql"
 )
 
+// referenceSteps re-evaluates q from scratch with engine.EvaluatePaths
+// on the sub-partitions each step of a run has accumulated — its own
+// NewSubParts and every earlier step's, minus the step's MissingSubParts
+// — and returns one distinct answer set per step, plus the rows those
+// sub-partitions hold. It shares no code with the step loop's semi-naive
+// evaluator, so agreement checks the delta rewrite of Lemma 4.3.
+func referenceSteps(t *testing.T, proc *Processor, q *sparql.Query, steps []StepResult) ([]map[string]bool, []int64) {
+	t.Helper()
+	lay := proc.Layout()
+	hl, hlPaths := proc.QuerySlices(q), proc.QueryPathSlices(q)
+	blocks := make(map[hpart.SubPartKey]rdf.PairBlock)
+	loaded := make(map[hpart.SubPartKey]bool)
+	sets := make([]map[string]bool, len(steps))
+	rows := make([]int64, len(steps))
+	for i, sr := range steps {
+		for _, k := range sr.NewSubParts {
+			loaded[k] = true
+		}
+		missing := make(map[hpart.SubPartKey]bool)
+		for _, k := range sr.MissingSubParts {
+			missing[k] = true
+		}
+		for k := range loaded {
+			if !missing[k] {
+				rows[i] += int64(lay.SubPartRows[k])
+			}
+		}
+		// Candidate lists are sorted by (level, prop), so each pattern's
+		// groups arrive in the accumulator's order.
+		groups := func(candidates []hpart.SubPartKey) []engine.PropGroup {
+			var out []engine.PropGroup
+			for _, k := range candidates {
+				if !loaded[k] || missing[k] {
+					continue
+				}
+				b, ok := blocks[k]
+				if !ok {
+					pairs, err := lay.ReadSubPartition(k)
+					if err != nil {
+						t.Fatalf("%s: reference read of %s: %v", q, k, err)
+					}
+					b = rdf.RawPairs(pairs)
+					blocks[k] = b
+				}
+				out = append(out, engine.PropGroup{Prop: k.Prop, Rows: b})
+			}
+			return out
+		}
+		inputs := make([]engine.PatternInput, len(q.Patterns))
+		for j, pat := range q.Patterns {
+			inputs[j] = engine.PatternInput{Pattern: pat, Groups: groups(hl[j])}
+		}
+		pathInputs := make([]engine.PathInput, len(q.Paths))
+		for j, pat := range q.Paths {
+			pathInputs[j] = engine.PathInput{Pattern: pat, Groups: groups(hlPaths[j])}
+		}
+		rel, _, err := engine.EvaluatePaths(q, inputs, pathInputs, lay.DictView(), engine.Options{})
+		if err != nil {
+			t.Fatalf("%s: reference evaluation: %v", q, err)
+		}
+		sets[i] = answerSet(rel.Distinct())
+	}
+	return sets, rows
+}
+
+// checkAgainstReference compares every step of a run with referenceSteps:
+// the same answer set and the same cumulative rows loaded.
+func checkAgainstReference(t *testing.T, label string, proc *Processor, q *sparql.Query, res *Result) {
+	t.Helper()
+	want, wantRows := referenceSteps(t, proc, q, res.Steps)
+	for i, sr := range res.Steps {
+		got := answerSet(sr.Answers)
+		if len(got) != len(want[i]) || !subset(got, want[i]) {
+			t.Fatalf("%s %q: step %d has %d answers, reference evaluation %d",
+				label, q, i+1, len(got), len(want[i]))
+		}
+		if sr.RowsLoadedCum != wantRows[i] {
+			t.Fatalf("%s %q: step %d loaded %d cumulative rows, accumulated sub-partitions hold %d",
+				label, q, i+1, sr.RowsLoadedCum, wantRows[i])
+		}
+	}
+}
+
 // TestIncrementalMatchesScratch is the acceptance property of the
-// semi-naive evaluator: for every strategy and query, the incremental
-// run must deliver exactly the same answer *set* as the from-scratch
-// run at every step — not just at the end. Row accounting is also
-// mode-independent (the delta rewrite changes join work, not data
-// access).
+// semi-naive evaluator: for every strategy and query, every step must
+// deliver exactly the answer *set* that a from-scratch evaluation
+// (engine.EvaluatePaths) computes on the sub-partitions the run has
+// accumulated so far — not just at the end — and row accounting must
+// equal what those sub-partitions hold.
 func TestIncrementalMatchesScratch(t *testing.T) {
+	queries := append(append([]string(nil), testQueries...), pathQueries...)
 	for seed := int64(0); seed < 4; seed++ {
 		g := nestedGraph(seed, 60, 5)
 		lay := mustPartition(t, g)
 		strategies := []SliceStrategy{LevelCumulative, ProductOrder, LargestFirst, SmallestFirst}
 		for _, strat := range strategies {
-			inc := NewProcessor(lay, Options{Strategy: strat})
-			scr := NewProcessor(lay, Options{Strategy: strat, DisableIncremental: true})
-			for _, qs := range testQueries {
+			proc := NewProcessor(lay, Options{Strategy: strat})
+			for _, qs := range queries {
 				q := sparql.MustParse(qs)
-				ri, err := inc.PQA(q)
+				res, err := proc.PQA(q)
 				if err != nil {
-					t.Fatalf("seed %d %s %q: incremental: %v", seed, strat, qs, err)
+					t.Fatalf("seed %d %s %q: %v", seed, strat, qs, err)
 				}
-				rs, err := scr.PQA(q)
-				if err != nil {
-					t.Fatalf("seed %d %s %q: scratch: %v", seed, strat, qs, err)
-				}
-				if len(ri.Steps) != len(rs.Steps) {
-					t.Fatalf("seed %d %s %q: %d incremental steps, %d scratch steps",
-						seed, strat, qs, len(ri.Steps), len(rs.Steps))
-				}
-				for i := range ri.Steps {
-					a, b := answerSet(ri.Steps[i].Answers), answerSet(rs.Steps[i].Answers)
-					if len(a) != len(b) || !subset(a, b) {
-						t.Fatalf("seed %d %s %q: step %d incremental answers %d != scratch %d",
-							seed, strat, qs, i+1, len(a), len(b))
-					}
-					if ri.Steps[i].RowsLoadedStep != rs.Steps[i].RowsLoadedStep {
-						t.Fatalf("seed %d %s %q: step %d rows loaded %d vs %d",
-							seed, strat, qs, i+1, ri.Steps[i].RowsLoadedStep, rs.Steps[i].RowsLoadedStep)
-					}
-				}
-				fi, fs := answerSet(ri.Final), answerSet(rs.Final)
-				if len(fi) != len(fs) || !subset(fi, fs) {
-					t.Fatalf("seed %d %s %q: final answers differ", seed, strat, qs)
-				}
+				checkAgainstReference(t, fmt.Sprintf("seed %d %s", seed, strat), proc, q, res)
 			}
 		}
 	}
@@ -63,9 +126,8 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 // TestIncrementalMatchesScratchUnderFaults re-checks the equivalence
 // with storage faults under the Degrade policy. A fully killed node is a
 // time-invariant fault: with no replication the same blocks fail on
-// every attempt, so the incremental and scratch runs over the shared
-// layout lose exactly the same sub-partitions — per-step answers and the
-// missing lists must then agree exactly between the two modes.
+// every read, so the reference evaluation, which leaves out each step's
+// MissingSubParts, reads exactly the sub-partitions the run folded in.
 func TestIncrementalMatchesScratchUnderFaults(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		lay, fs, _ := chaosLayout(t, seed, 1)
@@ -73,80 +135,78 @@ func TestIncrementalMatchesScratchUnderFaults(t *testing.T) {
 		in.Attach(fs)
 		in.KillNode(int(seed) % 4)
 
-		build := func(disable bool) *Processor {
-			return NewProcessor(lay, Options{
-				FailurePolicy:      Degrade,
-				DisableIncremental: disable,
-				// Cached rows would mask the dead node from the second
-				// run; disable so both modes issue the same storage reads.
-				DisableSubPartCache: true,
-			})
-		}
-		pi := build(false)
-		ps := build(true)
+		proc := NewProcessor(lay, Options{
+			FailurePolicy: Degrade,
+			// Cached rows would mask the dead node from later runs.
+			DisableSubPartCache: true,
+		})
 		for _, qs := range testQueries {
 			q := sparql.MustParse(qs)
-			ri, err := pi.PQA(q)
+			res, err := proc.PQA(q)
 			if err != nil {
-				t.Fatalf("seed %d %q: incremental: %v", seed, qs, err)
+				t.Fatalf("seed %d %q: %v", seed, qs, err)
 			}
-			rs, err := ps.PQA(q)
-			if err != nil {
-				t.Fatalf("seed %d %q: scratch: %v", seed, qs, err)
-			}
-			if len(ri.Steps) != len(rs.Steps) {
-				t.Fatalf("seed %d %q: %d vs %d steps under faults", seed, qs, len(ri.Steps), len(rs.Steps))
-			}
-			for i := range ri.Steps {
-				a, b := answerSet(ri.Steps[i].Answers), answerSet(rs.Steps[i].Answers)
-				if len(a) != len(b) || !subset(a, b) {
-					t.Fatalf("seed %d %q: step %d answers diverge under faults", seed, qs, i+1)
-				}
-				am, bm := ri.Steps[i].MissingSubParts, rs.Steps[i].MissingSubParts
-				if len(am) != len(bm) {
-					t.Fatalf("seed %d %q: step %d missing %d vs %d", seed, qs, i+1, len(am), len(bm))
-				}
-				for j := range am {
-					if am[j] != bm[j] {
-						t.Fatalf("seed %d %q: step %d missing[%d] %s vs %s", seed, qs, i+1, j, am[j], bm[j])
-					}
-				}
-			}
-			if ri.Exact != rs.Exact {
-				t.Fatalf("seed %d %q: Exact %v vs %v", seed, qs, ri.Exact, rs.Exact)
+			checkAgainstReference(t, fmt.Sprintf("seed %d faults", seed), proc, q, res)
+			if n := len(res.Steps); n > 0 && res.Exact != (len(res.Steps[n-1].MissingSubParts) == 0) {
+				t.Fatalf("seed %d %q: Exact %v with %d missing sub-partitions",
+					seed, qs, res.Exact, len(res.Steps[n-1].MissingSubParts))
 			}
 		}
 	}
 }
 
-// TestIncrementalLimitFallsBack: LIMIT does not distribute over union,
-// so incremental evaluation must silently fall back to the scratch path
-// and reproduce its results exactly.
-func TestIncrementalLimitFallsBack(t *testing.T) {
-	g := nestedGraph(2, 60, 5)
-	lay := mustPartition(t, g)
-	q := sparql.MustParse(`SELECT * WHERE { ?x <p0> ?y . ?x <p1> ?z } LIMIT 3`)
-
-	inc := NewProcessor(lay, Options{})
-	scr := NewProcessor(lay, Options{DisableIncremental: true})
-	ri, err := inc.PQA(q)
-	if err != nil {
-		t.Fatal(err)
+// TestLimitCapsCumulativeAnswers: LIMIT N caps the cumulative answer
+// list, so Lemma 4.3 still holds under every strategy, with one and with
+// four workers: each step's answers contain the previous step's, no step
+// holds more than N, and the final answer is a subset of the unlimited
+// query's exact answer with min(N, |exact|) rows.
+func TestLimitCapsCumulativeAnswers(t *testing.T) {
+	limitQueries := []string{
+		`SELECT * WHERE { ?x <p0> ?y . ?x <p1> ?z } LIMIT 3`,
+		`SELECT * WHERE { ?x <p0> ?y . ?y <p1> ?z } LIMIT 5`,
+		`SELECT ?x WHERE { ?x <p0> ?y . ?y <p0> ?z } LIMIT 4`,
+		`SELECT * WHERE { ?x <p0> ?y } LIMIT 7`,
 	}
-	rs, err := scr.PQA(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ri.Steps) != len(rs.Steps) {
-		t.Fatalf("%d vs %d steps", len(ri.Steps), len(rs.Steps))
-	}
-	for i := range ri.Steps {
-		if ri.Steps[i].Answers.Card() > 3 {
-			t.Fatalf("step %d exceeds LIMIT: %d answers", i+1, ri.Steps[i].Answers.Card())
-		}
-		a, b := answerSet(ri.Steps[i].Answers), answerSet(rs.Steps[i].Answers)
-		if len(a) != len(b) || !subset(a, b) {
-			t.Fatalf("step %d limited answers diverge", i+1)
+	strategies := []SliceStrategy{LevelCumulative, ProductOrder, LargestFirst, SmallestFirst}
+	for seed := int64(0); seed < 6; seed++ {
+		g := nestedGraph(seed, 60, 5)
+		lay := mustPartition(t, g)
+		for _, strat := range strategies {
+			for _, workers := range []int{1, 4} {
+				proc := NewProcessor(lay, Options{Strategy: strat, Context: dataflow.NewContext(workers)})
+				for _, qs := range limitQueries {
+					q := sparql.MustParse(qs)
+					unlimited := *q
+					unlimited.Limit = 0
+					oracle := answerSet(engine.Naive(g, &unlimited).Distinct())
+					res, err := proc.PQA(q)
+					if err != nil {
+						t.Fatalf("seed %d %s w=%d %q: %v", seed, strat, workers, qs, err)
+					}
+					prev := map[string]bool{}
+					for i, sr := range res.Steps {
+						cur := answerSet(sr.Answers)
+						if sr.Answers.Card() > q.Limit {
+							t.Fatalf("seed %d %s w=%d %q: step %d has %d answers, LIMIT %d",
+								seed, strat, workers, qs, i+1, sr.Answers.Card(), q.Limit)
+						}
+						if !subset(prev, cur) {
+							t.Fatalf("seed %d %s w=%d %q: step %d lost answers of step %d",
+								seed, strat, workers, qs, i+1, i)
+						}
+						prev = cur
+					}
+					final := answerSet(res.Final)
+					if !subset(final, oracle) {
+						t.Fatalf("seed %d %s w=%d %q: final answer not a subset of the exact answer",
+							seed, strat, workers, qs)
+					}
+					if want := min(q.Limit, len(oracle)); len(final) != want {
+						t.Fatalf("seed %d %s w=%d %q: final has %d answers, want min(%d, %d) = %d",
+							seed, strat, workers, qs, len(final), q.Limit, len(oracle), want)
+					}
+				}
+			}
 		}
 	}
 }

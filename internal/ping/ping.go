@@ -126,25 +126,12 @@ type Options struct {
 	// FailurePolicy selects FailFast (zero value) or Degrade handling of
 	// unreadable sub-partitions.
 	FailurePolicy FailurePolicy
-	// DisableIncremental makes every PQA step re-evaluate the query from
-	// scratch over the accumulated slice instead of folding in only the
-	// newly loaded sub-partitions (semi-naive delta evaluation). Used by
-	// the ablation benchmarks to quantify the incremental speedup.
-	DisableIncremental bool
 	// DisableSubPartCache skips installing the layout's decoded
 	// sub-partition LRU cache.
 	DisableSubPartCache bool
 	// SubPartCacheSize is the LRU capacity (<=0: hpart default). The first
 	// processor to enable the cache on a layout fixes its capacity.
 	SubPartCacheSize int
-	// DisableDictEncoding keeps cached sub-partitions as raw 8-byte pair
-	// slices instead of packed delta-varint blocks — the `-dict=off`
-	// ablation that isolates the resident-compression win. Query results
-	// are identical either way; only the resident representation (and its
-	// decode cost) changes. The setting applies to the layout's shared
-	// cache, and flipping it drops cached entries so measurements never
-	// mix representations.
-	DisableDictEncoding bool
 	// Metrics is the registry the processor's counters and latency
 	// histograms are recorded into (nil: obs.Default).
 	Metrics *obs.Registry
@@ -167,8 +154,9 @@ type Processor struct {
 // procMetrics holds the processor's resolved metric handles. Metric
 // names are documented in DESIGN.md's observability subsection.
 type procMetrics struct {
-	pqaQueries      *obs.Counter
-	eqaQueries      *obs.Counter
+	// queries and querySeconds are keyed by mode label (pqa or eqa).
+	queries         map[string]*obs.Counter
+	querySeconds    map[string]*obs.Histogram
 	steps           *obs.Counter
 	degradedSteps   *obs.Counter
 	rowsLoaded      *obs.Counter
@@ -176,12 +164,9 @@ type procMetrics struct {
 	missingSubparts *obs.Counter
 	cacheHits       *obs.Counter
 	cacheMisses     *obs.Counter
-	incSteps        *obs.Counter
 	resumes         *obs.Counter
 	budgetPauses    *obs.Counter
 	stepSeconds     *obs.Histogram
-	pqaSeconds      *obs.Histogram
-	eqaSeconds      *obs.Histogram
 	epoch           *obs.Gauge
 	inflight        *obs.Gauge
 	dictHits        *obs.Counter
@@ -205,7 +190,6 @@ func newProcMetrics(reg *obs.Registry) *procMetrics {
 	reg.Describe("ping_missing_subparts_total", "sub-partitions skipped as unreadable under the degrade policy")
 	reg.Describe("ping_subparts_cache_hits_total", "sub-partition loads served from the decoded LRU cache")
 	reg.Describe("ping_subparts_cache_misses_total", "sub-partition loads that had to read storage")
-	reg.Describe("ping_incremental_steps_total", "PQA steps evaluated semi-naively (delta joins only)")
 	reg.Describe("ping_resumed_runs_total", "PQA segments resumed from a checkpoint")
 	reg.Describe("ping_budget_paused_total", "PQA segments paused at a budget bound with a resumable checkpoint")
 	reg.Describe("ping_step_seconds", "wall-clock duration of one slice step (load + evaluate)")
@@ -218,9 +202,9 @@ func newProcMetrics(reg *obs.Registry) *procMetrics {
 	reg.Describe("ping_dict_build_seconds", "time to capture and sign the pinned epoch's dictionary snapshot")
 	reg.Describe("ping_subparts_cache_bytes", "resident payload bytes of the decoded sub-partition cache")
 	reg.Describe("ping_subparts_cache_raw_bytes", "uncompressed size of the same cached sub-partitions (8 bytes per pair)")
-	return &procMetrics{
-		pqaQueries:      reg.Counter("ping_queries_total", obs.Labels{"mode": "pqa"}),
-		eqaQueries:      reg.Counter("ping_queries_total", obs.Labels{"mode": "eqa"}),
+	m := &procMetrics{
+		queries:         make(map[string]*obs.Counter),
+		querySeconds:    make(map[string]*obs.Histogram),
 		steps:           reg.Counter("ping_steps_total", nil),
 		degradedSteps:   reg.Counter("ping_degraded_steps_total", nil),
 		rowsLoaded:      reg.Counter("ping_rows_loaded_total", nil),
@@ -228,12 +212,9 @@ func newProcMetrics(reg *obs.Registry) *procMetrics {
 		missingSubparts: reg.Counter("ping_missing_subparts_total", nil),
 		cacheHits:       reg.Counter("ping_subparts_cache_hits_total", nil),
 		cacheMisses:     reg.Counter("ping_subparts_cache_misses_total", nil),
-		incSteps:        reg.Counter("ping_incremental_steps_total", nil),
 		resumes:         reg.Counter("ping_resumed_runs_total", nil),
 		budgetPauses:    reg.Counter("ping_budget_paused_total", nil),
 		stepSeconds:     reg.Histogram("ping_step_seconds", obs.TimeBuckets, nil),
-		pqaSeconds:      reg.Histogram("ping_query_seconds", obs.TimeBuckets, obs.Labels{"mode": "pqa"}),
-		eqaSeconds:      reg.Histogram("ping_query_seconds", obs.TimeBuckets, obs.Labels{"mode": "eqa"}),
 		epoch:           reg.Gauge("ping_epoch", nil),
 		inflight:        reg.Gauge("ping_inflight_queries", nil),
 		dictHits:        reg.Counter("ping_dict_lookups_total", obs.Labels{"outcome": "hit"}),
@@ -244,6 +225,11 @@ func newProcMetrics(reg *obs.Registry) *procMetrics {
 		cacheBytes:      reg.Gauge("ping_subparts_cache_bytes", nil),
 		cacheRawBytes:   reg.Gauge("ping_subparts_cache_raw_bytes", nil),
 	}
+	for _, mode := range []string{"pqa", "eqa"} {
+		m.queries[mode] = reg.Counter("ping_queries_total", obs.Labels{"mode": mode})
+		m.querySeconds[mode] = reg.Histogram("ping_query_seconds", obs.TimeBuckets, obs.Labels{"mode": mode})
+	}
+	return m
 }
 
 // NewProcessor creates a processor over a layout. The layout must not be
@@ -257,7 +243,6 @@ func NewProcessor(layout *hpart.Layout, opts Options) *Processor {
 	if !opts.DisableSubPartCache {
 		layout.EnableSubPartCache(opts.SubPartCacheSize)
 	}
-	layout.SetResidentRaw(opts.DisableDictEncoding)
 	return &Processor{layout: layout, opts: opts, ctx: ctx, met: newProcMetrics(opts.Metrics)}
 }
 
@@ -594,9 +579,6 @@ type StepResult struct {
 	// from the decoded LRU cache vs read from storage.
 	CacheHits   int64
 	CacheMisses int64
-	// Incremental reports whether the step was evaluated semi-naively
-	// (delta joins only) rather than from scratch.
-	Incremental bool
 	// Degraded reports that at least one candidate sub-partition could
 	// not be read so far (FailurePolicy Degrade only); the answers remain
 	// a sound subset of the exact result (Lemma 4.4).
@@ -608,6 +590,8 @@ type StepResult struct {
 	// the processor is store-backed). All steps of one run carry the
 	// same epoch: updates published mid-query are never observed.
 	Epoch uint64
+	// stats are the engine counters of this step's evaluation.
+	stats *engine.Stats
 }
 
 // Result is a completed PQA run.
@@ -656,7 +640,7 @@ func ensureQueryFP(ctx context.Context, q *sparql.Query) context.Context {
 }
 
 // PQA runs progressive query answering to completion and returns every
-// step. It is equivalent to PQASteps with a callback that always
+// step. It is equivalent to PQAStepsCtx with a callback that always
 // continues.
 func (p *Processor) PQA(q *sparql.Query) (*Result, error) {
 	return p.PQACtx(context.Background(), q)
@@ -683,24 +667,20 @@ func (p *Processor) PQACtx(ctx context.Context, q *sparql.Query) (*Result, error
 	return res, nil
 }
 
-// PQASteps runs progressive query answering, invoking fn after each
+// PQAStepsCtx runs progressive query answering, invoking fn after each
 // slice. Returning false from fn stops the run early (the user has seen
 // enough answers); all delivered answers remain sound by Lemma 4.4.
-func (p *Processor) PQASteps(q *sparql.Query, fn func(StepResult) bool) error {
-	return p.PQAStepsCtx(context.Background(), q, fn)
-}
-
-// PQAStepsCtx is PQASteps honouring ctx: cancellation aborts storage
-// reads (including failover retries) and drains the dataflow worker
-// pool, returning ctx.Err(). It is a thin wrapper over the resumable
-// core runner (see checkpoint.go) with checkpointing off.
+// Cancelling ctx aborts storage reads (including failover retries) and
+// drains the dataflow worker pool, returning ctx.Err(). It is a thin
+// wrapper over the resumable core runner (see checkpoint.go) with
+// checkpointing off.
 func (p *Processor) PQAStepsCtx(ctx context.Context, q *sparql.Query, fn func(StepResult) bool) error {
 	// Pin the layout snapshot for the whole run: candidate computation,
 	// scheduling, and every file read below see one immutable epoch,
 	// regardless of concurrently published updates.
 	lay, release := p.pin()
 	defer release()
-	_, err := p.runPQA(ctx, lay, q, runConfig{}, func(sr StepResult, _ *Checkpoint) bool {
+	_, err := p.runPQA(ctx, lay, q, runConfig{mode: modePQA}, func(sr StepResult, _ *Checkpoint) bool {
 		return fn(sr)
 	})
 	return err
@@ -733,107 +713,30 @@ func (p *Processor) EQA(q *sparql.Query) (*engine.Relation, *engine.Stats, error
 	return r.Answers, r.Stats, nil
 }
 
-// EQAFull is EQA honouring ctx and reporting degradation metadata. The
-// evaluation runs under the query's pprof labels (query_fp, trace_id,
-// stage=eqa) so profile samples attribute to the fingerprint.
-func (p *Processor) EQAFull(ctx context.Context, q *sparql.Query) (res *ExactResult, err error) {
-	ctx = ensureQueryFP(ctx, q)
-	prof.Do(ctx, "eqa", func(ctx context.Context) {
-		res, err = p.eqaFull(ctx, q)
-	})
-	return res, err
-}
-
-func (p *Processor) eqaFull(ctx context.Context, q *sparql.Query) (*ExactResult, error) {
-	if len(q.Patterns)+len(q.Paths) == 0 {
-		return nil, fmt.Errorf("ping: query has no patterns")
-	}
+// EQAFull is EQA honouring ctx and reporting degradation metadata. It is
+// a one-step run of the step loop over the maximal slice, under the
+// query's pprof labels (query_fp, trace_id, stage=eqa) so profile
+// samples attribute to the fingerprint.
+func (p *Processor) EQAFull(ctx context.Context, q *sparql.Query) (*ExactResult, error) {
 	// Pin one snapshot for candidate computation and evaluation, exactly
 	// as PQAStepsCtx does.
 	lay, release := p.pin()
 	defer release()
-	p.met.epoch.Set(float64(lay.Epoch()))
-	p.setDictGauges(lay)
-	defer p.setDictGauges(lay)
-	p.met.inflight.Add(1)
-	defer p.met.inflight.Add(-1)
-
-	hl := p.querySlices(lay, q)
-	hlPaths := p.queryPathSlices(lay, q)
-	empty := &ExactResult{
+	res := &ExactResult{
 		Answers: &engine.Relation{Vars: q.Projection()},
 		Stats:   &engine.Stats{},
 		Exact:   true,
 		Epoch:   lay.Epoch(),
 	}
-	for _, candidates := range hl {
-		if len(candidates) == 0 {
-			return empty, nil
-		}
-	}
-	for _, candidates := range hlPaths {
-		if len(candidates) == 0 {
-			return empty, nil
-		}
-	}
-
-	ctx, espan := obs.StartSpan(ctx, "eqa")
-	defer espan.End()
-	espan.SetAttr("epoch", lay.Epoch())
-
-	detach := p.ctx.AttachContext(ctx)
-	defer detach()
-
-	p.met.eqaQueries.Inc()
-	start := time.Now()
-	tid := obs.TraceIDFromContext(ctx)
-	defer func() { p.met.eqaSeconds.ObserveExemplar(time.Since(start).Seconds(), tid) }()
-
-	// EQA is a single-shot evaluation: there is no previous step to be
-	// incremental against, so it always uses the from-scratch path (whose
-	// Stats describe the one full evaluation).
-	state := newEvalState(p, lay, q, hl, hlPaths, false)
-	state.span = espan
-	var all []hpart.SubPartKey
-	seen := make(map[hpart.SubPartKey]bool)
-	for _, candidates := range append(append([][]hpart.SubPartKey{}, hl...), hlPaths...) {
-		for _, k := range candidates {
-			if !seen[k] {
-				seen[k] = true
-				all = append(all, k)
-			}
-		}
-	}
-	if err := state.load(ctx, all); err != nil {
-		espan.SetAttr("error", err.Error())
-		return nil, err
-	}
-	answers, err := state.evaluate()
+	_, err := p.runPQA(ctx, lay, q, runConfig{mode: modeEQA}, func(sr StepResult, _ *Checkpoint) bool {
+		res.Answers, res.Stats = sr.Answers, sr.stats
+		res.Stats.InputRows = sr.RowsLoadedCum
+		res.Exact = !sr.Degraded
+		res.MissingSubParts = sr.MissingSubParts
+		return true
+	})
 	if err != nil {
-		espan.SetAttr("error", err.Error())
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	missedNow := len(state.missing)
-	p.met.rowsLoaded.Add(state.rowsLoadedCum)
-	p.met.subparts.Add(int64(len(all) - missedNow))
-	p.met.missingSubparts.Add(int64(missedNow))
-	espan.SetAttr("subparts", len(all))
-	espan.SetAttr("rows_loaded", state.rowsLoadedCum)
-	espan.SetAttr("answers", answers.Card())
-	espan.SetAttr("exact", missedNow == 0)
-	if missedNow > 0 {
-		espan.SetAttr("missing_subparts", missedNow)
-	}
-	stats := state.lastStats
-	stats.InputRows = state.rowsLoadedCum
-	return &ExactResult{
-		Answers:         answers,
-		Stats:           stats,
-		Exact:           len(state.missing) == 0,
-		MissingSubParts: append([]hpart.SubPartKey(nil), state.missing...),
-		Epoch:           lay.Epoch(),
-	}, nil
+	return res, nil
 }

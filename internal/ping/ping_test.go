@@ -1,6 +1,7 @@
 package ping
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -335,7 +336,7 @@ func TestPQAEarlyStop(t *testing.T) {
 	proc := NewProcessor(mustPartition(t, g), Options{})
 	q := sparql.MustParse(`SELECT * WHERE { ?x <occursIn> ?b . ?x <hasKeyword> ?d }`)
 	var seen int
-	err := proc.PQASteps(q, func(s StepResult) bool {
+	err := proc.PQAStepsCtx(context.Background(), q, func(s StepResult) bool {
 		seen++
 		return s.Step < 2 // stop after the second slice
 	})

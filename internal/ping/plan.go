@@ -16,10 +16,9 @@ import (
 
 // Plan is the structured EXPLAIN/ANALYZE output of a query: the slice
 // schedule PQA would follow, per-pattern candidate sub-partitions
-// (HL(t)), the predicted join order, and the incremental-vs-scratch
-// decision. Analyze additionally annotates every step with what actually
-// happened: rows loaded, answers, coverage, cache hits, join
-// cardinalities, and wall time.
+// (HL(t)), and the predicted join order. Analyze additionally annotates
+// every step with what actually happened: rows loaded, answers,
+// coverage, cache hits, join cardinalities, and wall time.
 type Plan struct {
 	// Query is the SPARQL surface text the plan was built for.
 	Query string `json:"query"`
@@ -36,9 +35,6 @@ type Plan struct {
 	// Safe reports whether the query is safe on at least one slice
 	// (Def. 4.1); when false no slice steps exist and the answer is empty.
 	Safe bool `json:"safe"`
-	// Incremental is the predicted evaluation mode: semi-naive delta
-	// steps, or from-scratch re-evaluation (LIMIT queries and ablation).
-	Incremental bool `json:"incremental"`
 	// Patterns holds one entry per triple pattern, then per path pattern.
 	Patterns []PlanPattern `json:"patterns"`
 	// JoinOrder predicts the order the engine consumes the pattern
@@ -102,8 +98,6 @@ type PlanStep struct {
 	// sub-partition loads.
 	CacheHits   int64 `json:"cache_hits,omitempty"`
 	CacheMisses int64 `json:"cache_misses,omitempty"`
-	// Incremental reports whether the step ran semi-naively.
-	Incremental bool `json:"incremental,omitempty"`
 	// Degraded reports unreadable sub-partitions up to this step.
 	Degraded bool `json:"degraded,omitempty"`
 	// ElapsedMs is the step's wall time (load + evaluate).
@@ -142,11 +136,10 @@ func (p *Processor) explain(lay *hpart.Layout, q *sparql.Query) (*Plan, error) {
 		return nil, fmt.Errorf("ping: query has no patterns")
 	}
 	plan := &Plan{
-		Query:       q.String(),
-		Shape:       sparql.Classify(q).String(),
-		Strategy:    p.opts.Strategy.String(),
-		Epoch:       lay.Epoch(),
-		Incremental: !p.opts.DisableIncremental && q.Limit == 0,
+		Query:    q.String(),
+		Shape:    sparql.Classify(q).String(),
+		Strategy: p.opts.Strategy.String(),
+		Epoch:    lay.Epoch(),
 	}
 
 	hl := p.querySlices(lay, q)
@@ -284,7 +277,6 @@ func (p *Plan) annotate(res *Result, span *obs.Span) {
 		ps.Coverage = res.Coverage(i)
 		ps.CacheHits = sr.CacheHits
 		ps.CacheMisses = sr.CacheMisses
-		ps.Incremental = sr.Incremental
 		ps.Degraded = sr.Degraded
 		ps.ElapsedMs = float64(sr.Elapsed.Microseconds()) / 1000
 		p.TotalMs = float64(sr.ElapsedCum.Microseconds()) / 1000
@@ -338,11 +330,6 @@ func (p *Plan) WriteText(w io.Writer) error {
 	if p.Fingerprint != "" {
 		fmt.Fprintf(&b, "fingerprint: %s\n", p.Fingerprint)
 	}
-	evalMode := "from-scratch"
-	if p.Incremental {
-		evalMode = "incremental (semi-naive)"
-	}
-	fmt.Fprintf(&b, "evaluation: %s\n", evalMode)
 	if !p.Safe {
 		b.WriteString("UNSAFE: at least one pattern has no candidate sub-partition; the answer is empty\n")
 	}
@@ -378,11 +365,8 @@ func (p *Plan) WriteText(w io.Writer) error {
 		}
 		if p.Analyzed {
 			flags := ""
-			if ps.Incremental {
-				flags += " incremental"
-			}
 			if ps.Degraded {
-				flags += " DEGRADED"
+				flags = " DEGRADED"
 			}
 			fmt.Fprintf(&b, "    actual: rows=%d answers=%d (+%d) coverage=%.3f cache=%d/%d %.3fms%s\n",
 				ps.ActualRows, ps.Answers, ps.NewAnswers, ps.Coverage,

@@ -32,9 +32,6 @@ func TestExplainPlan(t *testing.T) {
 	if plan.Shape != "star" {
 		t.Errorf("shape = %q, want star", plan.Shape)
 	}
-	if !plan.Incremental {
-		t.Error("plan should predict incremental evaluation")
-	}
 	if len(plan.Patterns) != 2 {
 		t.Fatalf("patterns = %d, want 2", len(plan.Patterns))
 	}
@@ -70,16 +67,6 @@ func TestExplainPlan(t *testing.T) {
 			t.Errorf("step %d: predicted %d rows, run loaded %d", i, ps.PredictedRows, sr.RowsLoadedStep)
 		}
 	}
-
-	// A LIMIT query cannot run incrementally; the plan must say so.
-	ql := sparql.MustParse(`SELECT * WHERE { ?x <occursIn> ?b } LIMIT 1`)
-	planL, err := proc.Explain(ql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if planL.Incremental {
-		t.Error("LIMIT plan should predict from-scratch evaluation")
-	}
 }
 
 func TestExplainUnsafeQuery(t *testing.T) {
@@ -105,15 +92,15 @@ func TestExplainUnsafeQuery(t *testing.T) {
 // TestAnalyzeAgreesWithResult is the acceptance criterion: the analyzed
 // plan's per-step actual rows, answers, and coverage must agree with the
 // run's Result, and the step count must equal the run's increment of
-// ping_incremental_steps_total on a private registry.
+// ping_steps_total on a private registry.
 func TestAnalyzeAgreesWithResult(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := fig1Graph()
 	proc := NewProcessor(mustPartition(t, g), Options{Metrics: reg})
 	q := sparql.MustParse(`SELECT * WHERE { ?x <occursIn> ?b . ?x <hasKeyword> ?d }`)
 
-	incSteps := reg.Counter("ping_incremental_steps_total", nil)
-	before := incSteps.Value()
+	steps := reg.Counter("ping_steps_total", nil)
+	before := steps.Value()
 
 	plan, res, err := proc.Analyze(context.Background(), q)
 	if err != nil {
@@ -126,9 +113,9 @@ func TestAnalyzeAgreesWithResult(t *testing.T) {
 		t.Fatalf("plan has %d steps, run had %d", len(plan.Steps), len(res.Steps))
 	}
 
-	delta := incSteps.Value() - before
+	delta := steps.Value() - before
 	if delta != int64(len(res.Steps)) {
-		t.Errorf("ping_incremental_steps_total grew by %d, run had %d steps", delta, len(res.Steps))
+		t.Errorf("ping_steps_total grew by %d, run had %d steps", delta, len(res.Steps))
 	}
 
 	sawJoin := false
@@ -145,9 +132,6 @@ func TestAnalyzeAgreesWithResult(t *testing.T) {
 		}
 		if want := res.Coverage(i); math.Abs(ps.Coverage-want) > 1e-12 {
 			t.Errorf("step %d: plan coverage %v, Result.Coverage %v", i, ps.Coverage, want)
-		}
-		if !ps.Incremental {
-			t.Errorf("step %d not marked incremental", i)
 		}
 		if ps.CacheHits+ps.CacheMisses != int64(len(ps.SubParts)) {
 			t.Errorf("step %d: cache hits %d + misses %d != %d loads",

@@ -35,7 +35,7 @@ func resumeOracle(t *testing.T, g *rdf.Graph, q *sparql.Query) map[string]bool {
 // cardinalities and the last step.
 func runAll(t *testing.T, proc *Processor, q *sparql.Query) (counts []int, rows []int64, last StepResult, status *RunStatus) {
 	t.Helper()
-	st, err := proc.PQARun(context.Background(), q, Budget{}, func(sr StepResult, _ *Checkpoint) bool {
+	st, err := proc.PQARunOn(context.Background(), nil, q, Budget{}, func(sr StepResult, _ *Checkpoint) bool {
 		counts = append(counts, sr.Answers.Card())
 		rows = append(rows, sr.RowsLoadedCum)
 		last = sr
@@ -59,75 +59,73 @@ func TestKillAndResumeMatchesUninterrupted(t *testing.T) {
 	for seed := int64(0); seed < 2; seed++ {
 		g := nestedGraph(seed, 50, 5)
 		for _, strategy := range []SliceStrategy{LevelCumulative, LargestFirst} {
-			for _, noInc := range []bool{false, true} {
-				lay := mustPartition(t, g)
-				proc := NewProcessor(lay, Options{Strategy: strategy, DisableIncremental: noInc})
-				for _, qs := range resumeQueries {
-					q := sparql.MustParse(qs)
-					wantCounts, wantRows, wantLast, _ := runAll(t, proc, q)
-					if len(wantCounts) < 2 {
-						continue // nothing to interrupt
+			lay := mustPartition(t, g)
+			proc := NewProcessor(lay, Options{Strategy: strategy})
+			for _, qs := range resumeQueries {
+				q := sparql.MustParse(qs)
+				wantCounts, wantRows, wantLast, _ := runAll(t, proc, q)
+				if len(wantCounts) < 2 {
+					continue // nothing to interrupt
+				}
+				oracle := resumeOracle(t, g, q)
+
+				for k := 1; k < len(wantCounts); k++ {
+					// Interrupt: budget of k steps, keep the checkpoint.
+					var got []int
+					var gotRows []int64
+					st, err := proc.PQARunOn(context.Background(), nil, q, Budget{MaxSteps: k}, func(sr StepResult, cp *Checkpoint) bool {
+						got = append(got, sr.Answers.Card())
+						gotRows = append(gotRows, sr.RowsLoadedCum)
+						if cp == nil {
+							t.Fatalf("%s: no checkpoint on step %d", qs, sr.Step)
+						}
+						return true
+					})
+					if err != nil {
+						t.Fatalf("%s k=%d: %v", qs, k, err)
 					}
-					oracle := resumeOracle(t, g, q)
+					if st.Done || st.Checkpoint == nil || st.Reason != StopBudgetSteps {
+						t.Fatalf("%s k=%d: expected budget pause, got %+v", qs, k, st)
+					}
+					if st.StepsDone != k {
+						t.Fatalf("%s k=%d: segment ran %d steps", qs, k, st.StepsDone)
+					}
 
-					for k := 1; k < len(wantCounts); k++ {
-						// Interrupt: budget of k steps, keep the checkpoint.
-						var got []int
-						var gotRows []int64
-						st, err := proc.PQARun(context.Background(), q, Budget{MaxSteps: k}, func(sr StepResult, cp *Checkpoint) bool {
-							got = append(got, sr.Answers.Card())
-							gotRows = append(gotRows, sr.RowsLoadedCum)
-							if cp == nil {
-								t.Fatalf("%s: no checkpoint on step %d", qs, sr.Step)
-							}
-							return true
-						})
-						if err != nil {
-							t.Fatalf("%s k=%d: %v", qs, k, err)
-						}
-						if st.Done || st.Checkpoint == nil || st.Reason != StopBudgetSteps {
-							t.Fatalf("%s k=%d: expected budget pause, got %+v", qs, k, st)
-						}
-						if st.StepsDone != k {
-							t.Fatalf("%s k=%d: segment ran %d steps", qs, k, st.StepsDone)
-						}
+					// Resume and finish.
+					var lastSR StepResult
+					rst, err := proc.PQAResumeRun(context.Background(), nil, st.Checkpoint, Budget{}, func(sr StepResult, _ *Checkpoint) bool {
+						got = append(got, sr.Answers.Card())
+						gotRows = append(gotRows, sr.RowsLoadedCum)
+						lastSR = sr
+						return true
+					})
+					if err != nil {
+						t.Fatalf("%s k=%d resume: %v", qs, k, err)
+					}
+					if !rst.Done {
+						t.Fatalf("%s k=%d: resumed run did not finish: %+v", qs, k, rst)
+					}
 
-						// Resume and finish.
-						var lastSR StepResult
-						rst, err := proc.PQAResumeRun(context.Background(), nil, st.Checkpoint, Budget{}, func(sr StepResult, _ *Checkpoint) bool {
-							got = append(got, sr.Answers.Card())
-							gotRows = append(gotRows, sr.RowsLoadedCum)
-							lastSR = sr
-							return true
-						})
-						if err != nil {
-							t.Fatalf("%s k=%d resume: %v", qs, k, err)
+					// Per-step coverage trajectory identical.
+					if len(got) != len(wantCounts) {
+						t.Fatalf("%s k=%d: %d steps across segments, want %d", qs, k, len(got), len(wantCounts))
+					}
+					for i := range got {
+						if got[i] != wantCounts[i] {
+							t.Fatalf("%s k=%d: step %d has %d answers, want %d", qs, k, i+1, got[i], wantCounts[i])
 						}
-						if !rst.Done {
-							t.Fatalf("%s k=%d: resumed run did not finish: %+v", qs, k, rst)
+						if gotRows[i] != wantRows[i] {
+							t.Fatalf("%s k=%d: step %d loaded %d cumulative rows, want %d", qs, k, i+1, gotRows[i], wantRows[i])
 						}
-
-						// Per-step coverage trajectory identical.
-						if len(got) != len(wantCounts) {
-							t.Fatalf("%s k=%d: %d steps across segments, want %d", qs, k, len(got), len(wantCounts))
-						}
-						for i := range got {
-							if got[i] != wantCounts[i] {
-								t.Fatalf("%s k=%d: step %d has %d answers, want %d", qs, k, i+1, got[i], wantCounts[i])
-							}
-							if gotRows[i] != wantRows[i] {
-								t.Fatalf("%s k=%d: step %d loaded %d cumulative rows, want %d", qs, k, i+1, gotRows[i], wantRows[i])
-							}
-						}
-						// Final answer set identical (and exact, per oracle).
-						gotSet := answerSet(lastSR.Answers)
-						wantSet := answerSet(wantLast.Answers)
-						if len(gotSet) != len(wantSet) || !subset(gotSet, wantSet) {
-							t.Fatalf("%s k=%d: resumed final set differs from uninterrupted", qs, k)
-						}
-						if q.Limit == 0 && (len(gotSet) != len(oracle) || !subset(gotSet, oracle)) {
-							t.Fatalf("%s k=%d: resumed final set differs from oracle", qs, k)
-						}
+					}
+					// Final answer set identical (and exact, per oracle).
+					gotSet := answerSet(lastSR.Answers)
+					wantSet := answerSet(wantLast.Answers)
+					if len(gotSet) != len(wantSet) || !subset(gotSet, wantSet) {
+						t.Fatalf("%s k=%d: resumed final set differs from uninterrupted", qs, k)
+					}
+					if q.Limit == 0 && (len(gotSet) != len(oracle) || !subset(gotSet, oracle)) {
+						t.Fatalf("%s k=%d: resumed final set differs from oracle", qs, k)
 					}
 				}
 			}
@@ -155,7 +153,7 @@ func TestResumeEveryStepSeparately(t *testing.T) {
 			lastSR = sr
 			return true
 		}
-		st, err := proc.PQARun(context.Background(), q, Budget{MaxSteps: 1}, collect)
+		st, err := proc.PQARunOn(context.Background(), nil, q, Budget{MaxSteps: 1}, collect)
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
@@ -192,7 +190,7 @@ func TestBudgetRowsPicksMaximalPrefix(t *testing.T) {
 
 	// Predicted per-step rows from an unbudgeted run.
 	var stepRows []int64
-	if _, err := proc.PQARun(context.Background(), q, Budget{}, func(sr StepResult, _ *Checkpoint) bool {
+	if _, err := proc.PQARunOn(context.Background(), nil, q, Budget{}, func(sr StepResult, _ *Checkpoint) bool {
 		stepRows = append(stepRows, sr.RowsLoadedStep)
 		return true
 	}); err != nil {
@@ -204,7 +202,7 @@ func TestBudgetRowsPicksMaximalPrefix(t *testing.T) {
 	// Budget that affords exactly the first two steps.
 	budget := stepRows[0] + stepRows[1]
 	var executed int
-	st, err := proc.PQARun(context.Background(), q, Budget{MaxLoadedRows: budget}, func(sr StepResult, _ *Checkpoint) bool {
+	st, err := proc.PQARunOn(context.Background(), nil, q, Budget{MaxLoadedRows: budget}, func(sr StepResult, _ *Checkpoint) bool {
 		executed++
 		return true
 	})
@@ -241,7 +239,7 @@ func TestBudgetNeverStarves(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?x <p0> ?y . ?y <p1> ?z }`)
 	tiny := Budget{MaxLoadedRows: 1, Deadline: time.Nanosecond}
 	steps := 0
-	st, err := proc.PQARun(context.Background(), q, tiny, func(StepResult, *Checkpoint) bool { steps++; return true })
+	st, err := proc.PQARunOn(context.Background(), nil, q, tiny, func(StepResult, *Checkpoint) bool { steps++; return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +271,7 @@ func TestResumeUnderFaults(t *testing.T) {
 			q := sparql.MustParse(qs)
 			oracle := answerSet(engine.Naive(g, q).Distinct())
 			k := 1 + int(seed)%3
-			st, err := proc.PQARun(context.Background(), q, Budget{MaxSteps: k}, func(sr StepResult, _ *Checkpoint) bool {
+			st, err := proc.PQARunOn(context.Background(), nil, q, Budget{MaxSteps: k}, func(sr StepResult, _ *Checkpoint) bool {
 				if !subset(answerSet(sr.Answers), oracle) {
 					t.Fatalf("seed %d %q: false positive before pause", seed, qs)
 				}
@@ -321,7 +319,7 @@ func TestResumeSnapshotMismatch(t *testing.T) {
 	proc := NewProcessorStore(store, Options{})
 	q := sparql.MustParse(`SELECT * WHERE { ?x <p0> ?y . ?x <p1> ?z }`)
 
-	st, err := proc.PQARun(context.Background(), q, Budget{MaxSteps: 1}, func(StepResult, *Checkpoint) bool { return true })
+	st, err := proc.PQARunOn(context.Background(), nil, q, Budget{MaxSteps: 1}, func(StepResult, *Checkpoint) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}

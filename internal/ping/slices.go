@@ -38,6 +38,23 @@ func (p *Processor) sliceSchedule(lay *hpart.Layout, hl [][]hpart.SubPartKey) ([
 	}
 }
 
+// maximalSlice is EQA's schedule (Algorithm 3): one step that loads every
+// candidate sub-partition of every pattern, deduplicated in pattern order.
+func maximalSlice(hl [][]hpart.SubPartKey) []scheduledStep {
+	var step scheduledStep
+	seen := make(map[hpart.SubPartKey]bool)
+	for _, candidates := range hl {
+		for _, k := range candidates {
+			if !seen[k] {
+				seen[k] = true
+				step.newKeys = append(step.newKeys, k)
+				step.maxLevel = max(step.maxLevel, k.Level)
+			}
+		}
+	}
+	return []scheduledStep{step}
+}
+
 // levelSchedule visits hierarchy levels one at a time. The order is
 // ascending level for LevelCumulative, or sorted by partition size for the
 // LargestFirst/SmallestFirst variants. The first steps are merged until
@@ -209,33 +226,10 @@ func (p *Processor) productSchedule(hl [][]hpart.SubPartKey) ([]scheduledStep, e
 	return steps, nil
 }
 
-// groupList keeps one pattern's loaded groups sorted by (level, prop).
-// Keys arrive one step at a time (in arbitrary strategy order), so the
-// list is maintained by sorted insertion instead of re-scanning and
-// re-sorting the full accumulator once per pattern per step.
-type groupList struct {
-	keys   []hpart.SubPartKey
-	groups []engine.PropGroup
-}
-
-func (gl *groupList) insert(k hpart.SubPartKey, rows rdf.PairBlock) {
-	i := sort.Search(len(gl.keys), func(i int) bool {
-		ki := gl.keys[i]
-		return ki.Level > k.Level || (ki.Level == k.Level && ki.Prop >= k.Prop)
-	})
-	gl.keys = append(gl.keys, hpart.SubPartKey{})
-	copy(gl.keys[i+1:], gl.keys[i:])
-	gl.keys[i] = k
-	gl.groups = append(gl.groups, engine.PropGroup{})
-	copy(gl.groups[i+1:], gl.groups[i:])
-	gl.groups[i] = engine.PropGroup{Prop: k.Prop, Rows: rows}
-}
-
 // evalState carries the accumulator C of Algorithms 2/3: the loaded
-// sub-partitions (as per-pattern sorted group lists maintained
-// incrementally as keys load), the data-access counters, and the
-// machinery to evaluate the query on the accumulated data — either from
-// scratch or semi-naively via engine.Incremental.
+// sub-partitions, the data-access counters, and the semi-naive
+// evaluator (engine.Incremental) that holds the accumulated per-pattern
+// relations and answers.
 type evalState struct {
 	p *Processor
 	// lay is the layout snapshot pinned for this query; every read and
@@ -246,13 +240,10 @@ type evalState struct {
 	hlSet     []map[hpart.SubPartKey]bool
 	hlPathSet []map[hpart.SubPartKey]bool
 
-	// patGroups/pathGroups accumulate each pattern's loaded groups in
-	// (level, prop) order; patDelta/pathDelta hold only the groups that
-	// arrived in the current step (reset by load).
-	patGroups  []*groupList
-	pathGroups []*groupList
-	patDelta   [][]engine.PropGroup
-	pathDelta  [][]engine.PropGroup
+	// patDelta/pathDelta hold each pattern's groups that arrived in the
+	// current step (reset by load).
+	patDelta  [][]engine.PropGroup
+	pathDelta [][]engine.PropGroup
 
 	loadedSet map[hpart.SubPartKey]bool
 	// loaded lists the accumulator's keys in load order — the durable
@@ -263,8 +254,9 @@ type evalState struct {
 	missing    []hpart.SubPartKey
 	missingSet map[hpart.SubPartKey]bool
 
-	// inc, when non-nil, evaluates steps semi-naively; nil falls back to
-	// from-scratch evaluation (ablation, EQA, or LIMIT queries).
+	// inc evaluates every step semi-naively: the first step of a run (and
+	// EQA's single step) joins everything loaded so far, later steps only
+	// the deltas.
 	inc *engine.Incremental
 
 	rowsLoadedStep  int64
@@ -286,7 +278,7 @@ type evalState struct {
 	span *obs.Span
 }
 
-func newEvalState(p *Processor, lay *hpart.Layout, q *sparql.Query, hl, hlPaths [][]hpart.SubPartKey, incremental bool) *evalState {
+func newEvalState(p *Processor, lay *hpart.Layout, q *sparql.Query, hl, hlPaths [][]hpart.SubPartKey) (*evalState, error) {
 	toSets := func(lists [][]hpart.SubPartKey) []map[hpart.SubPartKey]bool {
 		sets := make([]map[hpart.SubPartKey]bool, len(lists))
 		for i, candidates := range lists {
@@ -297,38 +289,26 @@ func newEvalState(p *Processor, lay *hpart.Layout, q *sparql.Query, hl, hlPaths 
 		}
 		return sets
 	}
-	st := &evalState{
+	inc, err := engine.NewIncremental(q, lay.DictView(), engine.Options{
+		Context:    p.ctx,
+		Partitions: p.opts.Partitions,
+		Metrics:    p.opts.Metrics,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &evalState{
 		p:          p,
 		lay:        lay,
 		q:          q,
 		hlSet:      toSets(hl),
 		hlPathSet:  toSets(hlPaths),
-		patGroups:  make([]*groupList, len(q.Patterns)),
-		pathGroups: make([]*groupList, len(q.Paths)),
 		patDelta:   make([][]engine.PropGroup, len(q.Patterns)),
 		pathDelta:  make([][]engine.PropGroup, len(q.Paths)),
 		loadedSet:  make(map[hpart.SubPartKey]bool),
 		missingSet: make(map[hpart.SubPartKey]bool),
-	}
-	for i := range st.patGroups {
-		st.patGroups[i] = &groupList{}
-	}
-	for i := range st.pathGroups {
-		st.pathGroups[i] = &groupList{}
-	}
-	if incremental {
-		inc, err := engine.NewIncremental(q, lay.DictView(), engine.Options{
-			Context:    p.ctx,
-			Partitions: p.opts.Partitions,
-			Metrics:    p.opts.Metrics,
-		})
-		if err == nil {
-			st.inc = inc
-		}
-		// A LIMIT query rejects incremental evaluation; the scratch path
-		// below reproduces its first-N semantics exactly.
-	}
-	return st
+		inc:        inc,
+	}, nil
 }
 
 // loadResult is the outcome of one sub-partition read issued by load.
@@ -418,59 +398,34 @@ func (st *evalState) load(ctx context.Context, keys []hpart.SubPartKey) error {
 	return nil
 }
 
-// fold routes one loaded sub-partition into the group lists and current
-// deltas of every pattern whose HL(t) contains it.
+// fold routes one loaded sub-partition into the current deltas of every
+// pattern whose HL(t) contains it.
 func (st *evalState) fold(k hpart.SubPartKey, block rdf.PairBlock) {
 	g := engine.PropGroup{Prop: k.Prop, Rows: block}
 	for i, set := range st.hlSet {
 		if set[k] {
-			st.patGroups[i].insert(k, block)
 			st.patDelta[i] = append(st.patDelta[i], g)
 		}
 	}
 	for i, set := range st.hlPathSet {
 		if set[k] {
-			st.pathGroups[i].insert(k, block)
 			st.pathDelta[i] = append(st.pathDelta[i], g)
 		}
 	}
 }
 
 // evaluate runs the query on the accumulated slices: each pattern sees
-// exactly the loaded sub-partitions belonging to its HL(t). Answers are
-// returned as a distinct relation so progressive accumulation is a set
-// union, matching the answer-counting semantics of the paper's coverage
-// metric. In incremental mode only the current deltas are joined
-// (semi-naive, Lemma 4.3) and unioned with the cached previous answers;
-// the per-step answer set is identical to the scratch path.
+// exactly the loaded sub-partitions belonging to its HL(t). Only the
+// current deltas are joined (semi-naive, Lemma 4.3) and unioned with the
+// previous answers, so the result is the distinct answer set on the whole
+// accumulator, and progressive accumulation is a set union, matching the
+// answer-counting semantics of the paper's coverage metric.
 func (st *evalState) evaluate() (*engine.Relation, error) {
-	if st.inc != nil {
-		rel, stats, err := st.inc.Step(st.patDelta, st.pathDelta, st.span)
-		if err != nil {
-			return nil, err
-		}
-		st.lastStats = stats
-		st.led.ObservePeakRelationRows(stats.PeakRows)
-		return rel, nil
-	}
-	inputs := make([]engine.PatternInput, len(st.q.Patterns))
-	for i, pat := range st.q.Patterns {
-		inputs[i] = engine.PatternInput{Pattern: pat, Groups: st.patGroups[i].groups}
-	}
-	pathInputs := make([]engine.PathInput, len(st.q.Paths))
-	for i, pat := range st.q.Paths {
-		pathInputs[i] = engine.PathInput{Pattern: pat, Groups: st.pathGroups[i].groups}
-	}
-	rel, stats, err := engine.EvaluatePaths(st.q, inputs, pathInputs, st.lay.DictView(), engine.Options{
-		Context:    st.p.ctx,
-		Partitions: st.p.opts.Partitions,
-		Metrics:    st.p.opts.Metrics,
-		Span:       st.span,
-	})
+	rel, stats, err := st.inc.Step(st.patDelta, st.pathDelta, st.span)
 	if err != nil {
 		return nil, err
 	}
 	st.lastStats = stats
 	st.led.ObservePeakRelationRows(stats.PeakRows)
-	return rel.Distinct(), nil
+	return rel, nil
 }

@@ -38,11 +38,10 @@ type SlowQuery struct {
 
 // PlanSummary is the compact plan digest carried by slow-query records.
 type PlanSummary struct {
-	Strategy    string `json:"strategy"`
-	Steps       int    `json:"steps"`
-	SubParts    int    `json:"subparts"`
-	MaxLevel    int    `json:"max_level"`
-	Incremental bool   `json:"incremental"`
+	Strategy string `json:"strategy"`
+	Steps    int    `json:"steps"`
+	SubParts int    `json:"subparts"`
+	MaxLevel int    `json:"max_level"`
 }
 
 // SlowLog writes threshold-triggered SlowQuery records as NDJSON. A nil

@@ -49,11 +49,10 @@ func SlowQueryFromEvent(ev obs.WideEvent) SlowQuery {
 	}
 	if ev.Steps > 0 {
 		sq.Plan = &PlanSummary{
-			Strategy:    ev.Strategy,
-			Steps:       ev.Steps,
-			SubParts:    ev.SubParts,
-			MaxLevel:    ev.MaxLevel,
-			Incremental: ev.Incremental,
+			Strategy: ev.Strategy,
+			Steps:    ev.Steps,
+			SubParts: ev.SubParts,
+			MaxLevel: ev.MaxLevel,
 		}
 	}
 	return sq

@@ -224,7 +224,7 @@ func TestSlowLogThreshold(t *testing.T) {
 		Fingerprint: "deadbeefdeadbeef",
 		Query:       `SELECT * WHERE { ?x <a> ?y }`,
 		Epoch:       4,
-		Plan:        &PlanSummary{Strategy: "level-cumulative", Steps: 3, SubParts: 5, MaxLevel: 3, Incremental: true},
+		Plan:        &PlanSummary{Strategy: "level-cumulative", Steps: 3, SubParts: 5, MaxLevel: 3},
 		StepMs:      []float64{1, 2, 9},
 		Answers:     42,
 	}
@@ -254,7 +254,7 @@ func TestSlowLogThreshold(t *testing.T) {
 	if got.Time == "" {
 		t.Error("record missing timestamp")
 	}
-	if got.Plan == nil || got.Plan.Steps != 3 || !got.Plan.Incremental {
+	if got.Plan == nil || got.Plan.Steps != 3 {
 		t.Errorf("plan summary %+v", got.Plan)
 	}
 	if len(got.StepMs) != 3 {
