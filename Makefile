@@ -31,15 +31,19 @@ race:
 
 # fuzz hammers the decoders of untrusted bytes — durable-cursor client
 # tokens and on-disk records, the PCOL column files every sub-partition
-# and index is read from, and the N-Triples and SPARQL parsers behind
-# pingd's /update and /query bodies: no input may panic, and accepted
-# inputs must round-trip. Go allows one -fuzz pattern per invocation, so
+# and index is read from, the Bloom filter files and the advisor's
+# joins.jrd that Load reads at start-up, and the N-Triples and SPARQL
+# parsers behind pingd's /update and /query bodies: no input may panic
+# or allocate for data it does not carry, and accepted inputs must
+# round-trip. Go allows one -fuzz pattern per invocation, so
 # each target gets its own run.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseToken$$' -fuzztime=$(FUZZTIME) ./internal/cursor/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=$(FUZZTIME) ./internal/cursor/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeColumns$$' -fuzztime=$(FUZZTIME) ./internal/columnar/
+	$(GO) test -run='^$$' -fuzz='^FuzzBloomRead$$' -fuzztime=$(FUZZTIME) ./internal/bloom/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadJoins$$' -fuzztime=$(FUZZTIME) ./internal/hpart/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseNTriples$$' -fuzztime=$(FUZZTIME) ./internal/rdf/
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/sparql/
 

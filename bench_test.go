@@ -257,7 +257,7 @@ func BenchmarkIncrementalMaintenance(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := hpart.NewMaintainer(lay)
+	m, err := hpart.NewStoreMaintainer(hpart.NewStore(lay))
 	if err != nil {
 		b.Fatal(err)
 	}

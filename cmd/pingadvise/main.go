@@ -2,7 +2,7 @@
 // workload (a pingd snapshot, or raw wide events with -events) plus a
 // partitioned store, replays the hot fingerprints, and reports which cold
 // CS levels to merge and which join-reduction filters to precompute. By
-// default the report is a dry run; -apply rewrites the store in place
+// default the report is a dry run; -apply rewrites the store on disk
 // (do not run against a store a live pingd is serving — use pingd's
 // -advise-interval online mode for that).
 //
@@ -100,13 +100,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nothing to apply")
 		return
 	}
-	m, err := hpart.NewMaintainer(lay)
+	m, err := hpart.NewStoreMaintainer(hpart.NewStore(lay))
 	if err != nil {
 		fatal(err)
 	}
 	if err := adv.Apply(m); err != nil {
 		fatal(err)
 	}
+	lay = m.Layout()
 	if err := fs.SaveManifest(); err != nil {
 		fatal(err)
 	}

@@ -44,7 +44,7 @@ func main() {
 	}
 	fmt.Printf("store: %d levels, %d triples\n", lay.NumLevels, lay.TotalTriples())
 
-	m, err := hpart.NewMaintainer(lay)
+	m, err := hpart.NewStoreMaintainer(hpart.NewStore(lay))
 	if err != nil {
 		fatal(err)
 	}
@@ -61,6 +61,7 @@ func main() {
 	if err := m.Apply(add, remove); err != nil {
 		fatal(err)
 	}
+	lay = m.Layout()
 	// Persist the (possibly grown) dictionary and namespace.
 	if err := lay.SaveDict(); err != nil {
 		fatal(err)

@@ -50,7 +50,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	g, err := rdf.ParseFile(f, rdf.DetectFormat(*in))
+	g, err := rdf.ParseNTriples(f)
 	f.Close()
 	if err != nil {
 		fatal(err)

@@ -203,13 +203,14 @@ func TestApplyExactAndFaster(t *testing.T) {
 		before[qs] = first
 	}
 
-	m, err := hpart.NewMaintainer(lay)
+	m, err := hpart.NewStoreMaintainer(hpart.NewStore(lay))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := adv.Apply(m); err != nil {
 		t.Fatal(err)
 	}
+	lay = m.Layout()
 	if len(lay.JoinReductions()) == 0 {
 		t.Fatal("apply installed no join reductions")
 	}

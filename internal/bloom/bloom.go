@@ -175,13 +175,20 @@ func Read(r io.Reader) (*Filter, error) {
 	if m == 0 || m%64 != 0 || k == 0 || m > 1<<36 {
 		return nil, fmt.Errorf("bloom: invalid parameters m=%d k=%d", m, k)
 	}
-	f := &Filter{bits: make([]uint64, m/64), m: m, k: k, n: n}
-	buf := make([]byte, 8)
-	for i := range f.bits {
-		if _, err := io.ReadFull(r, buf); err != nil {
+	// Read the bits in bounded chunks, growing the filter only as words
+	// arrive: a header claiming 2^36 bits over a short file fails at EOF
+	// instead of allocating for what it claims.
+	f := &Filter{m: m, k: k, n: n}
+	buf := make([]byte, 8*min(m/64, 1<<13))
+	for left := m / 64; left > 0; {
+		chunk := buf[:8*min(left, uint64(len(buf)/8))]
+		if _, err := io.ReadFull(r, chunk); err != nil {
 			return nil, fmt.Errorf("bloom: bits: %w", err)
 		}
-		f.bits[i] = binary.LittleEndian.Uint64(buf)
+		for i := 0; i < len(chunk); i += 8 {
+			f.bits = append(f.bits, binary.LittleEndian.Uint64(chunk[i:]))
+		}
+		left -= uint64(len(chunk) / 8)
 	}
 	return f, nil
 }

@@ -238,14 +238,6 @@ func Parallelize[T any](ctx *Context, data []T, numParts int) *Dataset[T] {
 	return &Dataset[T]{ctx: ctx, parts: parts}
 }
 
-// FromPartitions wraps pre-partitioned data without copying.
-func FromPartitions[T any](ctx *Context, parts [][]T) *Dataset[T] {
-	if len(parts) == 0 {
-		parts = [][]T{nil}
-	}
-	return &Dataset[T]{ctx: ctx, parts: parts}
-}
-
 // NumPartitions returns the partition count.
 func (d *Dataset[T]) NumPartitions() int { return len(d.parts) }
 
@@ -276,21 +268,6 @@ func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
 		o := make([]U, len(in))
 		for j, v := range in {
 			o[j] = f(v)
-		}
-		out[i] = o
-	})
-	return &Dataset[U]{ctx: d.ctx, parts: out}
-}
-
-// FlatMap applies f to every row and concatenates the results.
-func FlatMap[T, U any](d *Dataset[T], f func(T) []U) *Dataset[U] {
-	out := make([][]U, len(d.parts))
-	d.ctx.runTasks(len(d.parts), func(i int) {
-		in := d.parts[i]
-		d.ctx.rowsRead.Add(int64(len(in)))
-		var o []U
-		for _, v := range in {
-			o = append(o, f(v)...)
 		}
 		out[i] = o
 	})
@@ -375,13 +352,6 @@ func mix64(x uint64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-// PartitionByKey hash-partitions keyed rows using hash to map keys to
-// 64-bit values. Integer-keyed callers can pass func(k K) uint64 {
-// return uint64(k) }.
-func PartitionByKey[K comparable, V any](d *Dataset[Pair[K, V]], numParts int, hash func(K) uint64) *Dataset[Pair[K, V]] {
-	return shuffle(d, numParts, func(k K) uint64 { return mix64(hash(k)) })
 }
 
 // JoinByKey computes the inner equi-join of two keyed datasets. Both sides

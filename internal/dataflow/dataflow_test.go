@@ -63,7 +63,7 @@ func TestParallelizeEdgeCases(t *testing.T) {
 	}
 }
 
-func TestMapFilterFlatMap(t *testing.T) {
+func TestMapFilter(t *testing.T) {
 	ctx := NewContext(4)
 	data := []int{1, 2, 3, 4, 5, 6}
 	d := Parallelize(ctx, data, 3)
@@ -74,10 +74,6 @@ func TestMapFilterFlatMap(t *testing.T) {
 	evens := Filter(d, func(x int) bool { return x%2 == 0 })
 	if got := sorted(evens.Collect()); !equalInts(got, []int{2, 4, 6}) {
 		t.Errorf("Filter = %v", got)
-	}
-	dup := FlatMap(d, func(x int) []int { return []int{x, x} })
-	if dup.Count() != 12 {
-		t.Errorf("FlatMap count = %d", dup.Count())
 	}
 }
 
@@ -127,14 +123,14 @@ func TestDistinctQuickMatchesMapSemantics(t *testing.T) {
 	}
 }
 
-func TestPartitionByKeyGroupsKeys(t *testing.T) {
+func TestShuffleGroupsKeys(t *testing.T) {
 	ctx := NewContext(4)
 	var rows []Pair[int, string]
 	for i := 0; i < 100; i++ {
 		rows = append(rows, Pair[int, string]{i % 10, "v"})
 	}
 	d := Parallelize(ctx, rows, 5)
-	sh := PartitionByKey(d, 4, intHash)
+	sh := shuffle(d, 4, intHash)
 	if sh.Count() != 100 {
 		t.Fatalf("shuffle lost rows: %d", sh.Count())
 	}
@@ -245,18 +241,6 @@ func TestContextDefaults(t *testing.T) {
 	}
 	if NewContext(3).Workers() != 3 {
 		t.Error("worker count not honored")
-	}
-}
-
-func TestFromPartitions(t *testing.T) {
-	ctx := NewContext(2)
-	d := FromPartitions(ctx, [][]int{{1, 2}, {3}})
-	if d.Count() != 3 || d.NumPartitions() != 2 {
-		t.Errorf("FromPartitions: count=%d parts=%d", d.Count(), d.NumPartitions())
-	}
-	e := FromPartitions[int](ctx, nil)
-	if e.NumPartitions() != 1 || e.Count() != 0 {
-		t.Errorf("empty FromPartitions: %d/%d", e.NumPartitions(), e.Count())
 	}
 }
 

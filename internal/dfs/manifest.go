@@ -36,7 +36,9 @@ type manifest struct {
 }
 
 // SaveManifest persists the namenode state. It only applies to disk-backed
-// file systems (the in-memory backend has nothing durable to reopen).
+// file systems (the in-memory backend has nothing durable to reopen). The
+// manifest is replaced atomically: a crash mid-save leaves either the old
+// or the new manifest, never a truncated one.
 func (f *FS) SaveManifest() error {
 	ds, ok := f.store.(*diskStore)
 	if !ok {
@@ -61,7 +63,46 @@ func (f *FS) SaveManifest() error {
 	if err != nil {
 		return fmt.Errorf("dfs: %w", err)
 	}
-	return os.WriteFile(filepath.Join(ds.dir, manifestName), data, 0o644)
+	return writeFileAtomic(ds.dir, manifestName, data)
+}
+
+// writeFileAtomic replaces dir/name with data: it writes and fsyncs a
+// temp file in dir, renames it over name, and fsyncs dir so the rename
+// itself is durable.
+func writeFileAtomic(dir, name string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, name+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("dfs: %w", err)
+	}
+	defer os.Remove(tmp.Name()) // no-op once renamed
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
+		return fmt.Errorf("dfs: save %s: %w", name, err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("dfs: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("dfs: sync %s: %w", dir, err)
+	}
+	return nil
 }
 
 // OpenOnDisk reopens a disk-backed file system previously populated and

@@ -60,6 +60,43 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveManifestAtomic: SaveManifest replaces manifest.json by
+// renaming a temp file over it, leaves no temp file behind, and a stray
+// temp file from an interrupted save does not affect OpenOnDisk.
+func TestSaveManifestAtomic(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewOnDisk(dir, Config{BlockSize: 64, DataNodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range []string{"a.bin", "b.bin"} {
+		if err := fs.WriteFile(p, bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.SaveManifest(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leftovers, err := filepath.Glob(filepath.Join(dir, manifestName+".tmp-*"))
+	if err != nil || len(leftovers) != 0 {
+		t.Fatalf("temp files left behind: %v (%v)", leftovers, err)
+	}
+	stray := filepath.Join(dir, manifestName+".tmp-123")
+	if err := os.WriteFile(stray, []byte(`{"files": [`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenOnDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened.Usage().Files; got != 2 {
+		t.Fatalf("reopened store holds %d files, want 2", got)
+	}
+	if got, err := reopened.ReadFile("b.bin"); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{1}, 100)) {
+		t.Fatalf("b.bin after reopen: %v", err)
+	}
+}
+
 func TestSaveManifestRequiresDisk(t *testing.T) {
 	fs := New(Config{})
 	if err := fs.SaveManifest(); err == nil {

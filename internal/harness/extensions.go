@@ -84,7 +84,7 @@ func (s *Suite) extIncremental(b *strings.Builder) error {
 		if err != nil {
 			return err
 		}
-		m, err := hpart.NewMaintainer(lay)
+		m, err := hpart.NewStoreMaintainer(hpart.NewStore(lay))
 		if err != nil {
 			return err
 		}

@@ -8,8 +8,8 @@ import (
 	"ping/internal/rdf"
 )
 
-// DefaultSubPartCacheSize is the sub-partition cache capacity installed
-// by query processors that do not choose one.
+// DefaultSubPartCacheSize is the sub-partition cache capacity query
+// processors install.
 const DefaultSubPartCacheSize = 64
 
 // cacheKey identifies one decoded file in the cache: the sub-partition
@@ -26,27 +26,14 @@ type cacheKey struct {
 // subPartCache is a concurrency-safe LRU of decoded sub-partitions.
 // Repeated queries over the same layout skip the dfs read and the
 // columnar decode for cached entries. Cached slices are shared between
-// callers and must be treated as immutable.
-//
-// Puts are generation-tagged to close the read/rewrite race: a reader
-// draws a ticket (beginRead) before touching storage, and its put is
-// dropped if the entry was invalidated after the ticket was drawn — the
-// decoded bytes may predate the rewrite, and re-inserting them would
-// resurrect stale rows. Without the ticket, the interleaving
-//
-//	reader: miss → read old file ............ put(old rows)   ← stale!
-//	writer:            invalidate → rewrite file
-//
-// leaves the cache permanently serving pre-rewrite data.
+// callers and must be treated as immutable. No read/rewrite race exists:
+// the store never writes a (sub-partition, generation) path twice, so a
+// slot's rows can only ever be that one file's contents.
 type subPartCache struct {
 	mu      sync.Mutex
 	cap     int
 	ll      *list.List // front = most recently used
 	entries map[cacheKey]*list.Element
-	// ticket is a monotonic clock ordering reads against invalidations;
-	// invalidatedAt records, per key, the ticket of its last invalidate.
-	ticket        uint64
-	invalidatedAt map[cacheKey]uint64
 	// bytes / rawBytes track the resident payload across entries and what
 	// the same entries would cost uncompressed.
 	bytes    int64
@@ -60,10 +47,9 @@ type cacheEntry struct {
 
 func newSubPartCache(capacity int) *subPartCache {
 	return &subPartCache{
-		cap:           capacity,
-		ll:            list.New(),
-		entries:       make(map[cacheKey]*list.Element, capacity),
-		invalidatedAt: make(map[cacheKey]uint64),
+		cap:     capacity,
+		ll:      list.New(),
+		entries: make(map[cacheKey]*list.Element, capacity),
 	}
 }
 
@@ -86,24 +72,10 @@ func (c *subPartCache) stats() (n int, bytes, rawBytes int64) {
 	return c.ll.Len(), c.bytes, c.rawBytes
 }
 
-// beginRead draws the ticket a reader must present to put: any
-// invalidation that happens after this call outranks the eventual put.
-func (c *subPartCache) beginRead() uint64 {
+// put inserts a decoded block.
+func (c *subPartCache) put(key cacheKey, block rdf.PairBlock) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ticket++
-	return c.ticket
-}
-
-// put inserts a block decoded by a read that started at the given ticket.
-// The put is dropped when the key was invalidated after the ticket was
-// drawn: the rows were decoded from the pre-invalidation file contents.
-func (c *subPartCache) put(key cacheKey, block rdf.PairBlock, ticket uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.invalidatedAt[key] > ticket {
-		return // stale: file rewritten while the read was in flight
-	}
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*cacheEntry)
 		c.bytes += int64(block.Bytes()) - int64(e.block.Bytes())
@@ -125,9 +97,12 @@ func (c *subPartCache) put(key cacheKey, block rdf.PairBlock, ticket uint64) {
 	}
 }
 
-// remove drops an entry (if present) and settles the byte accounting.
-// Callers must hold c.mu.
-func (c *subPartCache) remove(key cacheKey) {
+// purge drops a key's entry, if present. Every deletion of a
+// generation file calls it: the (key, generation) pair can never be read
+// again.
+func (c *subPartCache) purge(key cacheKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.Remove(el)
 		e := el.Value.(*cacheEntry)
@@ -135,27 +110,6 @@ func (c *subPartCache) remove(key cacheKey) {
 		c.rawBytes -= int64(e.block.RawBytes())
 		delete(c.entries, key)
 	}
-}
-
-// invalidate evicts a key and bars any in-flight read that started
-// before now from re-inserting it.
-func (c *subPartCache) invalidate(key cacheKey) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ticket++
-	c.invalidatedAt[key] = c.ticket
-	c.remove(key)
-}
-
-// purge forgets a key entirely — entry and invalidation bookkeeping.
-// The epoch GC calls it when a retired generation file is deleted: the
-// (key, generation) pair can never be read again, so nothing is left to
-// guard against.
-func (c *subPartCache) purge(key cacheKey) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.invalidatedAt, key)
-	c.remove(key)
 }
 
 func (c *subPartCache) len() int {
@@ -213,44 +167,29 @@ func (l *Layout) subPartCache() *subPartCache {
 	return c
 }
 
-// invalidateSubPart evicts a cached sub-partition after its backing file
-// (at the layout's current generation) is rewritten or removed in place.
-func (l *Layout) invalidateSubPart(key SubPartKey) {
-	if c := l.subPartCache(); c != nil {
-		c.invalidate(cacheKey{key: key, gen: l.gen[key]})
-	}
-}
-
 // ReadSubPartitionCached is ReadSubPartitionCtx through the layout's LRU
 // cache: a hit returns the resident block without touching storage
 // (blocks are immutable and shared between callers). On a miss the
 // decoded rows are packed into a delta-varint block before insertion, so
 // the cache's resident set holds compressed sorted ID columns, not 8-byte
 // pairs. Without an installed cache it degrades to a plain read with
-// hit=false and a raw block. Failed reads are never cached, and a read
-// that raced a rewrite of the same generation is dropped rather than
-// cached (see subPartCache).
+// hit=false and a raw block. Failed reads are never cached.
 func (l *Layout) ReadSubPartitionCached(ctx context.Context, key SubPartKey) (block rdf.PairBlock, hit bool, err error) {
 	c := l.subPartCache()
 	ck := cacheKey{key: key, gen: l.gen[key]}
-	var ticket uint64
 	if c != nil {
 		if b, ok := c.get(ck); ok {
 			return b, true, nil
 		}
-		ticket = c.beginRead()
 	}
 	pairs, err := l.ReadSubPartitionCtx(ctx, key)
 	if err != nil {
 		return rdf.PairBlock{}, false, err
 	}
-	if l.readHook != nil {
-		l.readHook(key)
-	}
 	if c == nil {
 		return rdf.RawPairs(pairs), false, nil
 	}
 	block = rdf.PackPairs(pairs)
-	c.put(ck, block, ticket)
+	c.put(ck, block)
 	return block, false, nil
 }

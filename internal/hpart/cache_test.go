@@ -110,8 +110,8 @@ func TestSubPartCacheLRUEviction(t *testing.T) {
 }
 
 // TestSubPartCacheInvalidatedByMaintainer: a maintenance batch that
-// rewrites a sub-partition must evict its cached rows, so the next
-// cached read sees the new file contents.
+// rewrites a sub-partition writes a new generation, so the new epoch's
+// cached reads never see the old file's cached rows.
 func TestSubPartCacheInvalidatedByMaintainer(t *testing.T) {
 	g := uniprotExample()
 	lay, err := Partition(g, Options{})
@@ -128,7 +128,7 @@ func TestSubPartCacheInvalidatedByMaintainer(t *testing.T) {
 		}
 	}
 
-	m, err := NewMaintainer(lay)
+	m, err := NewStoreMaintainer(NewStore(lay))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +141,7 @@ func TestSubPartCacheInvalidatedByMaintainer(t *testing.T) {
 	if err := m.AddTriples([]rdf.Triple{add}); err != nil {
 		t.Fatal(err)
 	}
+	lay = m.Layout()
 
 	// Every sub-partition's cached rows must now agree with storage.
 	for _, k := range lay.SubPartitions() {

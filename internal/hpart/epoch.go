@@ -16,9 +16,16 @@
 // it. Per-epoch pin refcounts determine when no such epoch survives, at
 // which point the garbage collector removes the file (and purges its
 // decoded-cache slot).
+//
+// The store numbers generations: a (sub-partition, generation) path is
+// created at most once per store — across deleted and re-created
+// sub-partitions, failed batches and rebuilt maintainers — so a path,
+// and the decoded-cache slot keyed by it, only ever holds one content.
 package hpart
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -29,8 +36,7 @@ import (
 // readable only by snapshots with epoch < asOf.
 type retiredFile struct {
 	path string
-	key  SubPartKey
-	gen  uint64
+	ck   cacheKey
 	// asOf is the epoch whose publish retired the file (filled in by
 	// Store.publish).
 	asOf uint64
@@ -43,10 +49,10 @@ type retiredFile struct {
 type Store struct {
 	cur atomic.Pointer[Layout]
 
-	// mu guards the pin/retire/GC bookkeeping below. It is held only
-	// for pointer swaps and refcount arithmetic — never across file I/O
-	// on the query or maintenance path — so pinning stays O(1) and
-	// publish cannot stall readers.
+	// mu guards the pin/retire/GC and generation bookkeeping below. It
+	// is held only for pointer swaps and counter arithmetic — never
+	// across file I/O on the query or maintenance path — so pinning
+	// stays O(1) and publish cannot stall readers.
 	mu sync.Mutex
 	// pins counts in-flight queries per epoch (only epochs with a
 	// positive count are present).
@@ -55,6 +61,9 @@ type Store struct {
 	retired []retiredFile
 	// filesRemoved counts generation files deleted by the GC.
 	filesRemoved int64
+	// gens is the highest generation ever numbered per sub-partition. It
+	// never regresses, so no generation path is ever written twice.
+	gens map[SubPartKey]uint64
 
 	// leases holds the TTL-bounded pins of hibernated cursors (see
 	// lease.go); leaseSeq hands out their ids and leasesExpired counts
@@ -68,11 +77,23 @@ type Store struct {
 
 // NewStore wraps a layout as epoch 0 of a snapshot store. The layout
 // must not be mutated directly afterwards; route all updates through a
-// maintainer created with NewStoreMaintainer.
+// maintainer created with NewStoreMaintainer on this store — it numbers
+// the generations every such maintainer writes.
 func NewStore(lay *Layout) *Store {
-	s := &Store{pins: make(map[uint64]int), leases: make(map[uint64]*leaseEntry)}
+	s := &Store{pins: make(map[uint64]int), leases: make(map[uint64]*leaseEntry), gens: maps.Clone(lay.gen)}
+	if s.gens == nil {
+		s.gens = make(map[SubPartKey]uint64)
+	}
 	s.cur.Store(lay)
 	return s
+}
+
+// nextGen numbers a fresh generation of a sub-partition's file.
+func (s *Store) nextGen(key SubPartKey) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gens[key]++
+	return s.gens[key]
 }
 
 // Current returns the latest published snapshot without pinning it.
@@ -135,21 +156,15 @@ func (s *Store) collect() {
 		}
 	}
 	cur := s.cur.Load()
-	cache := cur.subPartCache()
 	kept := s.retired[:0]
 	for _, rf := range s.retired {
 		if rf.asOf > minPinned {
 			kept = append(kept, rf)
 			continue
 		}
-		if cur.fs.Exists(rf.path) {
-			// Best-effort: a failed remove leaks the file but cannot
-			// affect correctness (no snapshot references it anymore).
-			_ = cur.fs.Remove(rf.path)
-		}
-		if cache != nil {
-			cache.purge(cacheKey{key: rf.key, gen: rf.gen})
-		}
+		// Best-effort: a failed remove leaks the file but cannot affect
+		// correctness (no snapshot references it anymore).
+		_ = cur.removeGeneration(rf.path, rf.ck)
 		s.filesRemoved++
 	}
 	// Zero the tail so dropped entries are not retained by the backing
@@ -158,6 +173,23 @@ func (s *Store) collect() {
 		s.retired[i] = retiredFile{}
 	}
 	s.retired = kept
+}
+
+// removeGeneration deletes a generation file and purges its
+// decoded-cache slot. Every path that deletes a generation file goes
+// through here: the epoch GC, and the maintainer discarding files no
+// published epoch ever saw.
+func (l *Layout) removeGeneration(path string, ck cacheKey) error {
+	if c := l.subPartCache(); c != nil {
+		c.purge(ck)
+	}
+	if !l.fs.Exists(path) {
+		return nil
+	}
+	if err := l.fs.Remove(path); err != nil {
+		return fmt.Errorf("hpart: %w", err)
+	}
+	return nil
 }
 
 // StoreStats is a point-in-time view of the store's epoch machinery.

@@ -2,10 +2,13 @@ package hpart
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
+	"ping/internal/dfs"
 	"ping/internal/rdf"
 )
 
@@ -300,97 +303,143 @@ func TestGenerationsNeverRegress(t *testing.T) {
 	}
 }
 
-// TestStaleCachePutDropped is the deterministic regression test for the
-// invalidate/rewrite cache race (satellite of the snapshot-isolation
-// issue): a cached read that decodes a file, loses the CPU to an
-// in-place maintainer rewrite of the same sub-partition, and then
-// performs its cache put must NOT install the pre-rewrite rows.
-func TestStaleCachePutDropped(t *testing.T) {
+// failingPuts is a dfs block store whose writes fail while fail is set.
+type failingPuts struct {
+	dfs.BlockStore
+	fail *atomic.Bool
+}
+
+func (f failingPuts) Put(node int, id uint64, data []byte) error {
+	if f.fail.Load() {
+		return errors.New("injected write fault")
+	}
+	return f.BlockStore.Put(node, id, data)
+}
+
+// TestPinnedEpochSurvivesRebuiltMaintainer: the store, not the
+// maintainer, numbers generations. A pinned epoch reads a
+// sub-partition's file; a later batch deletes that sub-partition; a
+// batch fails on a dfs write fault and the maintainer is rebuilt, as
+// pingd does; the rebuilt maintainer re-creates the sub-partition and
+// rewrites it over several batches. No new file may land on a path a
+// live epoch reads, and every live epoch's cached reads must equal a
+// fresh partition of that epoch's graph.
+func TestPinnedEpochSurvivesRebuiltMaintainer(t *testing.T) {
 	g := rdf.NewGraph()
 	iri := rdf.NewIRI
-	// s1 and s2 share CS {p, q}: one sub-partition per property holds
-	// both subjects' rows.
-	g.Add(iri("s1"), iri("p"), iri("o1"))
-	g.Add(iri("s1"), iri("q"), iri("o1"))
-	g.Add(iri("s2"), iri("p"), iri("o2"))
-	g.Add(iri("s2"), iri("q"), iri("o2"))
+	// CS {p} and CS {q} sit on level 1, CS {p, q} on level 2. L1[p]
+	// holds a's row alone, so removing a deletes it without reshaping
+	// the hierarchy.
+	g.Add(iri("a"), iri("p"), iri("x"))
+	g.Add(iri("b"), iri("p"), iri("y"))
+	g.Add(iri("b"), iri("q"), iri("y"))
+	g.Add(iri("d"), iri("q"), iri("w"))
 	g.Dedup()
-	lay := rebuild(t, g)
-	lay.EnableSubPartCache(8)
-
-	s1 := g.Dict.LookupIRI("s1")
+	fs := dfs.New(dfs.Config{})
+	var fail atomic.Bool
+	fs.WrapStore(func(inner dfs.BlockStore) dfs.BlockStore { return failingPuts{inner, &fail} })
+	lay, err := Partition(g, Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay.EnableSubPartCache(0)
+	store := NewStore(lay)
+	m, err := NewStoreMaintainer(store)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := g.Dict.LookupIRI("p")
-	key := SubPartKey{Level: lay.SI[s1], Prop: p}
+	key := SubPartKey{Level: 1, Prop: p}
 	if !lay.HasSubPartition(key) {
 		t.Fatalf("no sub-partition %v", key)
 	}
 
-	m, err := NewMaintainer(lay)
-	if err != nil {
-		t.Fatal(err)
+	current := make(map[rdf.Triple]bool)
+	for _, tr := range g.Triples {
+		current[tr] = true
 	}
-
-	// The hook runs after the reader decoded the OLD file contents but
-	// before its cache put — exactly the lost-CPU window. The update
-	// gives s1 a new property, so its CS changes and its rows move out of
-	// key's file, which is rewritten in place with only s2's rows.
-	fired := false
-	lay.readHook = func(k SubPartKey) {
-		if k != key || fired {
-			return
+	graphOf := func() *rdf.Graph {
+		out := &rdf.Graph{Dict: g.Dict}
+		for tr := range current {
+			out.AddID(tr)
 		}
-		fired = true
-		add := []rdf.Triple{{S: s1, P: g.Dict.EncodeIRI("r"), O: g.Dict.EncodeIRI("o3")}}
-		if err := m.AddTriples(add); err != nil {
-			t.Errorf("concurrent apply: %v", err)
+		out.Dedup()
+		return out
+	}
+	triple := func(s, o string) rdf.Triple {
+		return rdf.Triple{S: g.Dict.EncodeIRI(s), P: p, O: g.Dict.EncodeIRI(o)}
+	}
+	apply := func(add, remove []rdf.Triple) {
+		t.Helper()
+		if err := m.Apply(add, remove); err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range remove {
+			delete(current, tr)
+		}
+		for _, tr := range add {
+			current[tr] = true
 		}
 	}
-	defer func() { lay.readHook = nil }()
-
-	staleBlock, _, err := lay.ReadSubPartitionCached(context.Background(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("rewrite hook never fired")
-	}
-	// The interleaved read itself returns pre-rewrite rows — that is
-	// fine (it raced the writer; both row sets are committed states).
-	// What must NOT happen is that row set being served from the cache
-	// afterwards.
-	stale := staleBlock.Materialize()
-	if len(stale) != 2 {
-		t.Fatalf("interleaved read returned %d rows, want 2 pre-rewrite rows", len(stale))
-	}
-
-	freshBlock, hit, err := lay.ReadSubPartitionCached(context.Background(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("stale put survived: post-rewrite read was served from cache")
-	}
-	fresh := freshBlock.Materialize()
-	want, err := lay.ReadSubPartition(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pairsEqual(fresh, want) {
-		t.Fatalf("post-rewrite cached read = %v, want %v", fresh, want)
-	}
-	for _, pr := range fresh {
-		if pr.S == s1 {
-			t.Fatal("post-rewrite read still contains the moved subject's row")
+	// matches checks an epoch's storage and cached reads against a
+	// fresh partition.
+	matches := func(epoch *Layout, want *Layout, label string) {
+		t.Helper()
+		if len(epoch.SubPartRows) != len(want.SubPartRows) {
+			t.Fatalf("%s: %d sub-partitions, want %d", label, len(epoch.SubPartRows), len(want.SubPartRows))
+		}
+		for _, k := range want.SubPartitions() {
+			wantRows, err := want.ReadSubPartition(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored, err := epoch.ReadSubPartition(k)
+			if err != nil {
+				t.Fatalf("%s: %v: %v", label, k, err)
+			}
+			if !pairsEqual(stored, wantRows) {
+				t.Fatalf("%s: stored %v = %v, want %v", label, k, stored, wantRows)
+			}
+			block, _, err := epoch.ReadSubPartitionCached(context.Background(), k)
+			if err != nil {
+				t.Fatalf("%s: %v: %v", label, k, err)
+			}
+			if got := block.Materialize(); !pairsEqual(got, wantRows) {
+				t.Fatalf("%s: cached %v = %v, want %v", label, k, got, wantRows)
+			}
 		}
 	}
 
-	// And now the cache serves the fresh rows.
-	againBlock, hit, err := lay.ReadSubPartitionCached(context.Background(), key)
-	if err != nil {
+	// Epoch 1 rewrites L1[p] once; pin it and warm the cache.
+	apply([]rdf.Triple{triple("c", "z")}, nil)
+	pinned, release := store.Pin()
+	defer release()
+	pinnedWant := rebuild(t, graphOf())
+	matches(pinned, pinnedWant, "pinned epoch")
+
+	// Epoch 2 deletes L1[p]; its file stays, retired, for the pin.
+	apply(nil, []rdf.Triple{triple("a", "x"), triple("c", "z")})
+	if store.Current().HasSubPartition(key) {
+		t.Fatalf("%v survived the removal of all its rows", key)
+	}
+
+	// A batch that would re-create L1[p] fails on a write fault; the
+	// maintainer is rebuilt from the store.
+	fail.Store(true)
+	if err := m.Apply([]rdf.Triple{triple("e", "v")}, nil); err == nil {
+		t.Fatal("batch succeeded despite the write fault")
+	}
+	fail.Store(false)
+	if m, err = NewStoreMaintainer(store); err != nil {
 		t.Fatal(err)
 	}
-	if !hit || !pairsEqual(againBlock.Materialize(), want) {
-		t.Fatal("fresh rows were not cached")
+
+	// The rebuilt maintainer re-creates L1[p] and rewrites it.
+	for i, s := range []string{"e", "f", "h"} {
+		apply([]rdf.Triple{triple(s, "o"+s)}, nil)
+		label := fmt.Sprintf("rewrite %d", i)
+		matches(pinned, pinnedWant, label+": pinned epoch")
+		matches(store.Current(), rebuild(t, graphOf()), label+": current epoch")
 	}
 }
 

@@ -102,10 +102,10 @@ type Layout struct {
 	joins map[JoinKey]*JoinReduction
 
 	// gen maps a sub-partition to the generation of its backing file;
-	// an absent key means generation 0, the path Partition writes. The
-	// epoch maintainer bumps a sub-partition's generation on every
-	// rewrite so snapshots pinned to older epochs keep reading their
-	// own (still present) files.
+	// an absent key means generation 0, the path Partition writes. Every
+	// rewrite takes a fresh generation from the Store so snapshots
+	// pinned to older epochs keep reading their own (still present)
+	// files.
 	gen map[SubPartKey]uint64
 	// epoch numbers the snapshot this layout represents; 0 for a fresh
 	// or loaded layout, assigned by Store.publish afterwards.
@@ -119,11 +119,6 @@ type Layout struct {
 	// EnableSubPartCache); cacheMu guards installation/removal.
 	cacheMu sync.Mutex
 	cache   *subPartCache
-
-	// readHook, when non-nil, runs between a cache-missing storage read
-	// and the cache re-insert. Test instrumentation only: it opens the
-	// read/rewrite interleaving window deterministically.
-	readHook func(SubPartKey)
 }
 
 // Options configures Partition.

@@ -356,7 +356,9 @@ func (l *Layout) readJoins() (map[JoinKey]*JoinReduction, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hpart: %s: %w", joinsPath, err)
 	}
-	joins := make(map[JoinKey]*JoinReduction, n)
+	// Maps grow as entries are read, never from a count off disk: a
+	// short file fails at EOF instead of allocating for what it claims.
+	joins := make(map[JoinKey]*JoinReduction)
 	for i := uint32(0); i < n; i++ {
 		pa, err := get32()
 		if err != nil {
@@ -384,7 +386,7 @@ func (l *Layout) readJoins() (map[JoinKey]*JoinReduction, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hpart: %s: %w", joinsPath, err)
 		}
-		red := &JoinReduction{Filter: f, Pruned: make(map[SubPartKey]bool, np)}
+		red := &JoinReduction{Filter: f, Pruned: make(map[SubPartKey]bool)}
 		for j := uint32(0); j < np; j++ {
 			lv, err := get32()
 			if err != nil {

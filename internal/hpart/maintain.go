@@ -2,7 +2,6 @@ package hpart
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
 	"ping/internal/columnar"
@@ -29,18 +28,14 @@ import (
 // preserved; the equivalence tests check the maintained layout against a
 // from-scratch Partition of the updated graph.
 //
-// A maintainer runs in one of two modes. In-place (NewMaintainer): the
-// layout is mutated directly and files are rewritten under their current
-// names — correct only when no queries run concurrently. Snapshot
-// (NewStoreMaintainer): every Apply clones the latest epoch, writes
-// rewritten sub-partitions to fresh generation-suffixed files, and
-// publishes the clone through the Store; concurrent queries keep reading
-// their pinned epoch untouched. Either way a maintainer is a
+// Every batch is copy-on-write: Apply clones the store's latest epoch,
+// writes rewritten sub-partitions to fresh generation-suffixed files
+// (numbered by the Store), and publishes the clone; concurrent queries
+// keep reading their pinned epoch untouched. A maintainer is a
 // single-writer object: calls into one maintainer must be serialized by
 // the caller.
 type Maintainer struct {
-	lay *Layout
-	// store, when non-nil, switches the maintainer to snapshot mode.
+	lay   *Layout
 	store *Store
 	// csBySubject is the live CS of every subject.
 	csBySubject map[rdf.ID]cs.Set
@@ -53,15 +48,10 @@ type Maintainer struct {
 	// object there — the exact refcounts behind the OI index.
 	oiCount map[objLevel]int
 
-	// genSeq is the highest generation ever written per sub-partition.
-	// It never regresses — not even when a sub-partition is deleted and
-	// later re-created — so a new file can never collide with a retired
-	// generation some pinned epoch still reads.
-	genSeq map[SubPartKey]uint64
-	// retired / created accumulate, during one snapshot-mode Apply, the
-	// files superseded by the batch and the files the batch wrote.
+	// retired / created accumulate, during one Apply, the files
+	// superseded by the batch and the files the batch wrote.
 	retired []retiredFile
-	created map[string]bool
+	created map[string]cacheKey
 }
 
 type objLevel struct {
@@ -69,20 +59,24 @@ type objLevel struct {
 	level int
 }
 
-// NewMaintainer builds a maintainer by scanning the layout's
-// sub-partitions once (the layout is lossless, so the scan reconstructs
-// every subject's CS and the object refcounts).
-func NewMaintainer(lay *Layout) (*Maintainer, error) {
+// NewStoreMaintainer builds a maintainer over the store's current epoch
+// by scanning its sub-partitions once (the layout is lossless, so the
+// scan reconstructs every subject's CS and the object refcounts). Every
+// applied batch is built copy-on-write and published as a new epoch,
+// leaving all older epochs readable for the queries pinning them. One
+// maintainer per store; calls must be serialized by the caller. After a
+// failed Apply the maintainer's internal bookkeeping may be inconsistent
+// and it must be rebuilt with NewStoreMaintainer — the store itself is
+// unaffected (the failed epoch is never published).
+func NewStoreMaintainer(store *Store) (*Maintainer, error) {
+	lay := store.Current()
 	m := &Maintainer{
 		lay:         lay,
+		store:       store,
 		csBySubject: make(map[rdf.ID]cs.Set),
 		csCount:     make(map[string]int),
 		csByKey:     make(map[string]cs.Set),
 		oiCount:     make(map[objLevel]int),
-		genSeq:      maps.Clone(lay.gen),
-	}
-	if m.genSeq == nil {
-		m.genSeq = make(map[SubPartKey]uint64)
 	}
 	propsBySubject := make(map[rdf.ID][]rdf.ID)
 	for _, key := range lay.SubPartitions() {
@@ -108,25 +102,7 @@ func NewMaintainer(lay *Layout) (*Maintainer, error) {
 	return m, nil
 }
 
-// NewStoreMaintainer builds a snapshot-mode maintainer over the store's
-// current epoch: every applied batch is built copy-on-write and
-// published as a new epoch, leaving all older epochs readable for the
-// queries pinning them. One maintainer per store; calls must be
-// serialized by the caller. After a failed Apply the maintainer's
-// internal bookkeeping may be inconsistent and it must be rebuilt with
-// NewStoreMaintainer — the store itself is unaffected (the failed epoch
-// is never published).
-func NewStoreMaintainer(store *Store) (*Maintainer, error) {
-	m, err := NewMaintainer(store.Current())
-	if err != nil {
-		return nil, err
-	}
-	m.store = store
-	return m, nil
-}
-
-// Layout returns the maintained layout: in snapshot mode, the most
-// recently published epoch's layout.
+// Layout returns the most recently published epoch's layout.
 func (m *Maintainer) Layout() *Layout { return m.lay }
 
 // AddTriples applies a batch of additions. Duplicate triples (already
@@ -157,10 +133,10 @@ type LevelMerge struct {
 // Restructure applies an advisor recommendation as one batch: the level
 // merges, then — via joinsFn, called on the post-merge layout — a fresh
 // set of join reductions (joinsFn nil skips reductions; returning nil
-// clears them). In snapshot mode the whole batch publishes as a single
-// new epoch, so queries pinned to older epochs (including checkpointed
-// cursors holding leases) are never disturbed; the data itself is
-// unchanged, only its level placement and the reduction metadata.
+// clears them). The whole batch publishes as a single new epoch, so
+// queries pinned to older epochs (including checkpointed cursors holding
+// leases) are never disturbed; the data itself is unchanged, only its
+// level placement and the reduction metadata.
 func (m *Maintainer) Restructure(merges []LevelMerge, joinsFn func(*Layout) (map[JoinKey]*JoinReduction, error)) error {
 	if len(merges) == 0 && joinsFn == nil {
 		return nil
@@ -301,35 +277,24 @@ func (m *Maintainer) apply(add, remove []rdf.Triple) error {
 	return m.mutate(func() error { return m.applyBatch(add, remove) })
 }
 
-// mutate runs one mutation batch under the maintainer's mode discipline.
-// In-place mode runs it directly against the layout. Snapshot mode runs
-// it against a copy-on-write clone of the latest epoch — all file writes
-// inside the batch go to fresh generation names, so nothing the clone
-// does is observable until publish — and publishes the clone on success.
+// mutate runs one mutation batch against a copy-on-write clone of the
+// latest epoch — all file writes inside the batch go to fresh generation
+// names, so nothing the clone does is observable until publish — and
+// publishes the clone on success.
 func (m *Maintainer) mutate(batch func() error) error {
-	if m.store == nil {
-		if err := batch(); err != nil {
-			return err
-		}
-		m.lay.refreshDictSnapshot()
-		return nil
-	}
 	base := m.lay
 	m.lay = base.Clone()
-	m.retired = nil
-	m.created = make(map[string]bool)
+	m.created = make(map[string]cacheKey)
+	defer func() { m.retired, m.created = nil, nil }()
 	if err := batch(); err != nil {
 		// The failed epoch is never published: concurrent queries are
 		// unaffected. Delete the orphaned generation files it wrote and
 		// restore the published layout. The maintainer's CS bookkeeping
 		// may be torn; callers must rebuild it (see NewStoreMaintainer).
-		for path := range m.created {
-			if m.lay.fs.Exists(path) {
-				_ = m.lay.fs.Remove(path)
-			}
+		for path, ck := range m.created {
+			_ = m.lay.removeGeneration(path, ck)
 		}
 		m.lay = base
-		m.retired, m.created = nil, nil
 		return err
 	}
 	// The batch may have interned new terms; re-pin the clone's dictionary
@@ -337,7 +302,6 @@ func (m *Maintainer) mutate(batch func() error) error {
 	// ID it stores while older epochs keep their shorter prefix.
 	m.lay.refreshDictSnapshot()
 	m.store.publish(m.lay, m.retired)
-	m.retired, m.created = nil, nil
 	return nil
 }
 
@@ -591,16 +555,12 @@ func (m *Maintainer) placeSubjects(h *cs.Hierarchy, moved map[rdf.ID]bool, rowsB
 }
 
 // writeSubPartition persists a sub-partition's rows and keeps
-// SubPartRows, StoredBytes, and VP in sync. In-place mode rewrites (or
-// removes) the file under its current name and invalidates the decoded
-// cache only after the new contents are committed — a concurrent cached
-// read that decoded the old bytes then fails the generation-tagged put
-// instead of resurrecting stale rows. Snapshot mode writes the next
-// generation under a fresh name and retires the old file for the epoch
-// GC, leaving pinned snapshots untouched.
+// SubPartRows, StoredBytes, and VP in sync. The rows go to the next
+// generation the store hands out, under a fresh name, and the old file
+// is retired for the epoch GC, leaving pinned snapshots untouched.
 func (m *Maintainer) writeSubPartition(key SubPartKey, rows []Pair) error {
 	lay := m.lay
-	oldGen := lay.gen[key]
+	old := cacheKey{key: key, gen: lay.gen[key]}
 	oldPath := lay.subPartFile(key)
 	oldExists := false
 	if info, err := lay.fs.Stat(oldPath); err == nil {
@@ -611,7 +571,7 @@ func (m *Maintainer) writeSubPartition(key SubPartKey, rows []Pair) error {
 		delete(lay.SubPartRows, key)
 		delete(lay.gen, key)
 		if oldExists {
-			if err := m.dropFile(key, oldGen, oldPath); err != nil {
+			if err := m.dropFile(old, oldPath); err != nil {
 				return err
 			}
 		}
@@ -639,17 +599,8 @@ func (m *Maintainer) writeSubPartition(key SubPartKey, rows []Pair) error {
 		scol[i] = pr.S
 		ocol[i] = pr.O
 	}
-	path := oldPath
-	if m.store != nil {
-		next := m.genSeq[key]
-		if oldGen > next {
-			next = oldGen
-		}
-		next++
-		m.genSeq[key] = next
-		lay.gen[key] = next
-		path = dfs.GenPath(subPartPath(key), next)
-	}
+	gen := m.store.nextGen(key)
+	path := dfs.GenPath(subPartPath(key), gen)
 	w, err := lay.fs.Create(path)
 	if err != nil {
 		return fmt.Errorf("hpart: %w", err)
@@ -661,12 +612,11 @@ func (m *Maintainer) writeSubPartition(key SubPartKey, rows []Pair) error {
 	if err != nil {
 		return fmt.Errorf("hpart: rewrite %s: %w", key, err)
 	}
-	if m.store != nil {
-		m.created[path] = true
-		if oldExists {
-			if err := m.dropFile(key, oldGen, oldPath); err != nil {
-				return err
-			}
+	lay.gen[key] = gen
+	m.created[path] = cacheKey{key: key, gen: gen}
+	if oldExists {
+		if err := m.dropFile(old, oldPath); err != nil {
+			return err
 		}
 	}
 	lay.StoredBytes += n
@@ -679,38 +629,21 @@ func (m *Maintainer) writeSubPartition(key SubPartKey, rows []Pair) error {
 			return err
 		}
 	}
-	if m.store == nil {
-		// In-place rewrite: evict the cached decode now that the new
-		// contents are live.
-		lay.invalidateSubPart(key)
-	}
 	lay.invalidateJoins(key.Prop)
 	m.refreshVP(key.Prop)
 	return nil
 }
 
-// dropFile disposes of a superseded generation file. Snapshot mode
-// retires it for the epoch GC — unless it was created by the current
-// (unpublished) batch, in which case no epoch ever saw it and it is
-// deleted immediately. In-place mode removes it and evicts its cache
-// slot.
-func (m *Maintainer) dropFile(key SubPartKey, gen uint64, path string) error {
-	if m.store != nil {
-		if !m.created[path] {
-			m.retired = append(m.retired, retiredFile{path: path, key: key, gen: gen})
-			return nil
-		}
-		delete(m.created, path)
+// dropFile disposes of a superseded generation file: it is retired for
+// the epoch GC — unless it was created by the current (unpublished)
+// batch, in which case no epoch ever saw it and it is deleted now.
+func (m *Maintainer) dropFile(ck cacheKey, path string) error {
+	if _, fresh := m.created[path]; !fresh {
+		m.retired = append(m.retired, retiredFile{path: path, ck: ck})
+		return nil
 	}
-	if m.lay.fs.Exists(path) {
-		if err := m.lay.fs.Remove(path); err != nil {
-			return fmt.Errorf("hpart: %w", err)
-		}
-	}
-	if c := m.lay.subPartCache(); c != nil {
-		c.invalidate(cacheKey{key: key, gen: gen})
-	}
-	return nil
+	delete(m.created, path)
+	return m.lay.removeGeneration(path, ck)
 }
 
 // refreshVP recomputes one property's VP entry from the sub-partition

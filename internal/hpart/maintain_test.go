@@ -98,7 +98,7 @@ func TestMaintainerAddDeepensHierarchy(t *testing.T) {
 		t.Fatalf("base levels = %d, want 2", lay.NumLevels)
 	}
 
-	m, err := NewMaintainer(lay)
+	m, err := NewStoreMaintainer(NewStore(lay))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestMaintainerRemoveFlattensHierarchy(t *testing.T) {
 	if lay.NumLevels != 2 {
 		t.Fatalf("base levels = %d", lay.NumLevels)
 	}
-	m, err := NewMaintainer(lay)
+	m, err := NewStoreMaintainer(NewStore(lay))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestMaintainerRandomizedEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(seed, 80, 5)
 		lay := rebuild(t, g)
-		m, err := NewMaintainer(lay)
+		m, err := NewStoreMaintainer(NewStore(lay))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestMaintainerRandomizedEquivalence(t *testing.T) {
 func TestMaintainerNoOp(t *testing.T) {
 	g := randomGraph(3, 40, 4)
 	lay := rebuild(t, g)
-	m, err := NewMaintainer(lay)
+	m, err := NewStoreMaintainer(NewStore(lay))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestMaintainerPersistedIndexes(t *testing.T) {
 	if err := lay.SaveDict(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaintainer(lay)
+	m, err := NewStoreMaintainer(NewStore(lay))
 	if err != nil {
 		t.Fatal(err)
 	}

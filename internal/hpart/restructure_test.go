@@ -45,7 +45,7 @@ func TestMergeLevelsMovesRowsAndRemapsIndexes(t *testing.T) {
 	}
 	before := rowMultiset(t, lay)
 
-	m, err := NewMaintainer(lay)
+	m, err := NewStoreMaintainer(NewStore(lay))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +58,7 @@ func TestMergeLevelsMovesRowsAndRemapsIndexes(t *testing.T) {
 	if err := m.Restructure(merges, nil); err != nil {
 		t.Fatal(err)
 	}
+	lay = m.Layout()
 
 	sameRows(t, rowMultiset(t, lay), before, "after merge")
 	for _, key := range lay.SubPartitions() {
@@ -92,7 +93,7 @@ func TestMergeLevelsMovesRowsAndRemapsIndexes(t *testing.T) {
 
 func TestMergeLevelsRejectsBadPlans(t *testing.T) {
 	lay := rebuild(t, randomGraph(22, 40, 4))
-	m, err := NewMaintainer(lay)
+	m, err := NewStoreMaintainer(NewStore(lay))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestMaintenanceKeepsMergedPlacement(t *testing.T) {
 	if lay.NumLevels < 3 {
 		t.Fatalf("levels = %d, want >= 3", lay.NumLevels)
 	}
-	m, err := NewMaintainer(lay)
+	m, err := NewStoreMaintainer(NewStore(lay))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +128,7 @@ func TestMaintenanceKeepsMergedPlacement(t *testing.T) {
 	if err := m.Restructure([]LevelMerge{{From: from, Into: into}}, nil); err != nil {
 		t.Fatal(err)
 	}
+	lay = m.Layout()
 
 	// An unrelated new subject at level 1.
 	add := []rdf.Triple{{
@@ -137,6 +139,7 @@ func TestMaintenanceKeepsMergedPlacement(t *testing.T) {
 	if err := m.Apply(add, nil); err != nil {
 		t.Fatal(err)
 	}
+	lay = m.Layout()
 	for _, key := range lay.SubPartitions() {
 		if key.Level == from {
 			t.Fatalf("data batch resurrected merged level %d (%v)", from, key)
@@ -150,7 +153,8 @@ func TestMaintenanceKeepsMergedPlacement(t *testing.T) {
 func TestLevelMapAndJoinsPersistAcrossReload(t *testing.T) {
 	g := randomGraph(24, 80, 5)
 	lay := rebuild(t, g)
-	m, err := NewMaintainer(lay)
+	store := NewStore(lay)
+	m, err := NewStoreMaintainer(store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +173,7 @@ func TestLevelMapAndJoinsPersistAcrossReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lay = m.Layout()
 	if err := lay.SaveDict(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +214,7 @@ func TestLevelMapAndJoinsPersistAcrossReload(t *testing.T) {
 	// Rewriting a joined property invalidates its reduction in memory,
 	// and the now-stale joins file must be dropped on the next load
 	// rather than trusted against the changed data.
-	m2, err := NewMaintainer(lay)
+	m2, err := NewStoreMaintainer(store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +226,7 @@ func TestLevelMapAndJoinsPersistAcrossReload(t *testing.T) {
 	if err := m2.Apply(add, nil); err != nil {
 		t.Fatal(err)
 	}
+	lay = m2.Layout()
 	if lay.JoinReductions()[key] != nil {
 		t.Fatal("rewriting a joined property did not invalidate its reduction")
 	}

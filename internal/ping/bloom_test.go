@@ -108,7 +108,7 @@ func TestBloomPruningInactiveWithoutFilters(t *testing.T) {
 func TestBloomsSurviveMaintenance(t *testing.T) {
 	g := nestedGraph(77, 50, 4)
 	lay := bloomLayout(t, g)
-	m, err := hpart.NewMaintainer(lay)
+	m, err := hpart.NewStoreMaintainer(hpart.NewStore(lay))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +120,7 @@ func TestBloomsSurviveMaintenance(t *testing.T) {
 	if err := m.AddTriples([]rdf.Triple{{S: s, P: pNew, O: o}}); err != nil {
 		t.Fatal(err)
 	}
+	lay = m.Layout()
 	newLevel := lay.SI[s]
 	key := hpart.SubPartKey{Level: newLevel, Prop: pNew}
 	b := lay.Blooms(key)

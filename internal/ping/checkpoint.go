@@ -181,7 +181,7 @@ type runConfig struct {
 func (p *Processor) PQARunOn(ctx context.Context, lay *hpart.Layout, q *sparql.Query, budget Budget, fn func(StepResult, *Checkpoint) bool) (*RunStatus, error) {
 	if lay == nil {
 		var release func()
-		lay, release = p.pin()
+		lay, release = p.store.Pin()
 		defer release()
 	}
 	return p.runPQA(ctx, lay, q, runConfig{mode: modePQA, budget: budget, checkpoints: true}, fn)
@@ -202,7 +202,7 @@ func (p *Processor) PQAResumeRun(ctx context.Context, lay *hpart.Layout, cp *Che
 	}
 	if lay == nil {
 		var release func()
-		lay, release = p.pin()
+		lay, release = p.store.Pin()
 		defer release()
 	}
 	if lay.Signature() != cp.LayoutSig {

@@ -99,8 +99,6 @@ func (p FailurePolicy) String() string {
 type Options struct {
 	// Context supplies the dataflow executor (nil: single worker).
 	Context *dataflow.Context
-	// Partitions is the join shuffle fan-out (<=0: context default).
-	Partitions int
 	// Strategy selects slice ordering; zero value is LevelCumulative.
 	Strategy SliceStrategy
 	// DisableSubPartPruning loads every property file at a level instead
@@ -129,26 +127,21 @@ type Options struct {
 	// DisableSubPartCache skips installing the layout's decoded
 	// sub-partition LRU cache.
 	DisableSubPartCache bool
-	// SubPartCacheSize is the LRU capacity (<=0: hpart default). The first
-	// processor to enable the cache on a layout fixes its capacity.
-	SubPartCacheSize int
 	// Metrics is the registry the processor's counters and latency
 	// histograms are recorded into (nil: obs.Default).
 	Metrics *obs.Registry
 }
 
-// Processor answers queries over one partitioned layout — or, when
-// built with NewProcessorStore, over an epoch store: each query then
-// pins the latest published snapshot for its whole run, so concurrent
+// Processor answers queries over an epoch store: each query pins the
+// latest published snapshot for its whole run, so concurrent
 // maintenance batches can publish new epochs without ever being
 // observed mid-query (snapshot isolation; Lemma 4.4 holds against the
 // pinned epoch's exact answer).
 type Processor struct {
-	layout *hpart.Layout
-	store  *hpart.Store
-	opts   Options
-	ctx    *dataflow.Context
-	met    *procMetrics
+	store *hpart.Store
+	opts  Options
+	ctx   *dataflow.Context
+	met   *procMetrics
 }
 
 // procMetrics holds the processor's resolved metric handles. Metric
@@ -232,18 +225,11 @@ func newProcMetrics(reg *obs.Registry) *procMetrics {
 	return m
 }
 
-// NewProcessor creates a processor over a layout. The layout must not be
-// mutated while queries run; for concurrent query/update workloads use
-// NewProcessorStore.
+// NewProcessor creates a processor over a layout, wrapped in an epoch
+// store of its own. For concurrent query/update workloads use
+// NewProcessorStore with the store the maintainer publishes to.
 func NewProcessor(layout *hpart.Layout, opts Options) *Processor {
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = dataflow.NewContext(1)
-	}
-	if !opts.DisableSubPartCache {
-		layout.EnableSubPartCache(opts.SubPartCacheSize)
-	}
-	return &Processor{layout: layout, opts: opts, ctx: ctx, met: newProcMetrics(opts.Metrics)}
+	return NewProcessorStore(hpart.NewStore(layout), opts)
 }
 
 // NewProcessorStore creates a processor over an epoch store: every query
@@ -254,30 +240,18 @@ func NewProcessor(layout *hpart.Layout, opts Options) *Processor {
 // here is shared by all future epochs (entries are keyed by file
 // generation, so snapshots never observe each other's rows).
 func NewProcessorStore(store *hpart.Store, opts Options) *Processor {
-	p := NewProcessor(store.Current(), opts)
-	p.store = store
-	return p
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = dataflow.NewContext(1)
+	}
+	if !opts.DisableSubPartCache {
+		store.Current().EnableSubPartCache(0)
+	}
+	return &Processor{store: store, opts: opts, ctx: ctx, met: newProcMetrics(opts.Metrics)}
 }
 
-// Layout returns the underlying layout; for a store-backed processor,
-// the latest published snapshot.
-func (p *Processor) Layout() *hpart.Layout {
-	if p.store != nil {
-		return p.store.Current()
-	}
-	return p.layout
-}
-
-// pin acquires the layout snapshot a query runs against. Store-backed
-// processors pin the store's current epoch (keeping its files alive
-// until release); plain processors return their fixed layout with a
-// no-op release.
-func (p *Processor) pin() (*hpart.Layout, func()) {
-	if p.store != nil {
-		return p.store.Pin()
-	}
-	return p.layout, func() {}
-}
+// Layout returns the latest published snapshot.
+func (p *Processor) Layout() *hpart.Layout { return p.store.Current() }
 
 // lookupTerm resolves a pattern constant through the epoch's dictionary
 // view, counting the outcome into the ping_dict_lookups_total metric.
@@ -586,9 +560,9 @@ type StepResult struct {
 	// MissingSubParts lists the sub-partitions skipped so far
 	// (cumulative, in skip order).
 	MissingSubParts []hpart.SubPartKey
-	// Epoch is the layout snapshot the whole run is pinned to (0 unless
-	// the processor is store-backed). All steps of one run carry the
-	// same epoch: updates published mid-query are never observed.
+	// Epoch is the layout snapshot the whole run is pinned to. All steps
+	// of one run carry the same epoch: updates published mid-query are
+	// never observed.
 	Epoch uint64
 	// stats are the engine counters of this step's evaluation.
 	stats *engine.Stats
@@ -605,8 +579,7 @@ type Result struct {
 	// when FailurePolicy Degrade skipped unreadable sub-partitions, in
 	// which case Final is a sound subset of the exact answer.
 	Exact bool
-	// Epoch is the layout snapshot the run was pinned to (0 unless the
-	// processor is store-backed).
+	// Epoch is the layout snapshot the run was pinned to.
 	Epoch uint64
 }
 
@@ -648,10 +621,16 @@ func (p *Processor) PQA(q *sparql.Query) (*Result, error) {
 
 // PQACtx is PQA honouring ctx cancellation and deadline.
 func (p *Processor) PQACtx(ctx context.Context, q *sparql.Query) (*Result, error) {
-	res := &Result{Exact: true}
-	err := p.PQAStepsCtx(ctx, q, func(s StepResult) bool {
+	lay, release := p.store.Pin()
+	defer release()
+	return p.pqaOn(ctx, lay, q)
+}
+
+// pqaOn runs PQA to completion on a pinned snapshot.
+func (p *Processor) pqaOn(ctx context.Context, lay *hpart.Layout, q *sparql.Query) (*Result, error) {
+	res := &Result{Exact: true, Epoch: lay.Epoch()}
+	_, err := p.runPQA(ctx, lay, q, runConfig{mode: modePQA}, func(s StepResult, _ *Checkpoint) bool {
 		res.Steps = append(res.Steps, s)
-		res.Epoch = s.Epoch
 		return true
 	})
 	if err != nil {
@@ -678,7 +657,7 @@ func (p *Processor) PQAStepsCtx(ctx context.Context, q *sparql.Query, fn func(St
 	// Pin the layout snapshot for the whole run: candidate computation,
 	// scheduling, and every file read below see one immutable epoch,
 	// regardless of concurrently published updates.
-	lay, release := p.pin()
+	lay, release := p.store.Pin()
 	defer release()
 	_, err := p.runPQA(ctx, lay, q, runConfig{mode: modePQA}, func(sr StepResult, _ *Checkpoint) bool {
 		return fn(sr)
@@ -697,8 +676,7 @@ type ExactResult struct {
 	Exact bool
 	// MissingSubParts lists the skipped sub-partitions.
 	MissingSubParts []hpart.SubPartKey
-	// Epoch is the layout snapshot the evaluation was pinned to (0 unless
-	// the processor is store-backed).
+	// Epoch is the layout snapshot the evaluation was pinned to.
 	Epoch uint64
 }
 
@@ -720,7 +698,7 @@ func (p *Processor) EQA(q *sparql.Query) (*engine.Relation, *engine.Stats, error
 func (p *Processor) EQAFull(ctx context.Context, q *sparql.Query) (*ExactResult, error) {
 	// Pin one snapshot for candidate computation and evaluation, exactly
 	// as PQAStepsCtx does.
-	lay, release := p.pin()
+	lay, release := p.store.Pin()
 	defer release()
 	res := &ExactResult{
 		Answers: &engine.Relation{Vars: q.Projection()},

@@ -126,7 +126,7 @@ type PlanJoin struct {
 // strategy, predicted row counts from the layout's metadata, and the
 // predicted join order.
 func (p *Processor) Explain(q *sparql.Query) (*Plan, error) {
-	lay, release := p.pin()
+	lay, release := p.store.Pin()
 	defer release()
 	return p.explain(lay, q)
 }
@@ -207,12 +207,14 @@ func (p *Processor) explain(lay *hpart.Layout, q *sparql.Query) (*Plan, error) {
 }
 
 // Analyze explains the query, then actually runs it (PQA, honouring ctx)
-// and annotates every plan step with its actual rows, answers, coverage,
-// cache outcomes, join cardinalities, and wall time. The run's Result is
-// returned alongside the annotated plan so callers can stream or count
-// the answers too.
+// on the same pinned snapshot and annotates every plan step with its
+// actual rows, answers, coverage, cache outcomes, join cardinalities, and
+// wall time. The run's Result is returned alongside the annotated plan so
+// callers can stream or count the answers too.
 func (p *Processor) Analyze(ctx context.Context, q *sparql.Query) (*Plan, *Result, error) {
-	plan, err := p.Explain(q)
+	lay, release := p.store.Pin()
+	defer release()
+	plan, err := p.explain(lay, q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -226,7 +228,7 @@ func (p *Processor) Analyze(ctx context.Context, q *sparql.Query) (*Plan, *Resul
 	} else {
 		ctx, span = obs.NewTrace(ctx, "analyze")
 	}
-	res, err := p.PQACtx(ctx, q)
+	res, err := p.pqaOn(ctx, lay, q)
 	span.End()
 	if err != nil {
 		return nil, nil, err
@@ -235,14 +237,11 @@ func (p *Processor) Analyze(ctx context.Context, q *sparql.Query) (*Plan, *Resul
 	return plan, res, nil
 }
 
-// annotate fills a plan's per-step actuals from a completed run and its
-// trace. Steps align by index; when the run saw a different schedule
-// than the explain pass (an epoch published in between), the extra
-// actual steps are appended with no predictions, so the actuals always
-// reflect the run that really happened.
+// annotate fills a plan's per-step actuals from a completed run on the
+// snapshot the plan was explained on, and from its trace. Steps align by
+// index.
 func (p *Plan) annotate(res *Result, span *obs.Span) {
 	p.Analyzed = true
-	p.Epoch = res.Epoch
 	p.Exact = res.Exact
 	if res.Final != nil {
 		p.Answers = res.Final.Card()
@@ -257,17 +256,6 @@ func (p *Plan) annotate(res *Result, span *obs.Span) {
 		}
 	}
 
-	if len(res.Steps) > len(p.Steps) {
-		for i := len(p.Steps); i < len(res.Steps); i++ {
-			sr := res.Steps[i]
-			ps := PlanStep{Step: sr.Step, MaxLevel: sr.MaxLevel}
-			for _, k := range sr.NewSubParts {
-				ps.SubParts = append(ps.SubParts, PlanSubPart{Level: k.Level})
-			}
-			p.Steps = append(p.Steps, ps)
-		}
-	}
-	p.Steps = p.Steps[:min(len(p.Steps), len(res.Steps))]
 	for i := range p.Steps {
 		sr := res.Steps[i]
 		ps := &p.Steps[i]

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -183,6 +184,56 @@ func TestAnalyzeAgreesWithResult(t *testing.T) {
 	}
 	if rt.Answers != plan.Answers || len(rt.Steps) != len(plan.Steps) || !rt.Analyzed {
 		t.Errorf("JSON round-trip mismatch: %+v", rt)
+	}
+
+	// Store-backed, under a concurrent writer: the plan and the run share
+	// one pinned snapshot, so every predicted step is the step that ran.
+	ng := nestedGraph(3, 60, 5)
+	store := hpart.NewStore(mustPartition(t, ng))
+	maint, err := hpart.NewStoreMaintainer(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, _ := planBatches(rand.New(rand.NewSource(5)), ng, 8)
+	sproc := NewProcessorStore(store, Options{Metrics: obs.NewRegistry()})
+	sq := sparql.MustParse(`SELECT * WHERE { ?x <p0> ?y . ?x <p1> ?z }`)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, b := range batches {
+			if err := maint.Apply(b.add, b.remove); err != nil {
+				t.Errorf("apply: %v", err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		plan, res, err := sproc.Analyze(context.Background(), sq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Steps) != len(res.Steps) {
+			t.Fatalf("epoch %d: plan has %d steps, run had %d", res.Epoch, len(plan.Steps), len(res.Steps))
+		}
+		for i, ps := range plan.Steps {
+			var ran []PlanSubPart
+			for _, k := range res.Steps[i].NewSubParts {
+				ran = append(ran, PlanSubPart{Level: k.Level, Prop: ng.Dict.TermString(k.Prop)})
+			}
+			if len(ps.SubParts) != len(ran) {
+				t.Fatalf("epoch %d step %d: predicted %v, ran %v", res.Epoch, i, ps.SubParts, ran)
+			}
+			for j := range ran {
+				if ps.SubParts[j].Level != ran[j].Level || ps.SubParts[j].Prop != ran[j].Prop {
+					t.Fatalf("epoch %d step %d: predicted %v, ran %v", res.Epoch, i, ps.SubParts, ran)
+				}
+			}
+		}
 	}
 }
 

@@ -290,9 +290,8 @@ func newEvalState(p *Processor, lay *hpart.Layout, q *sparql.Query, hl, hlPaths 
 		return sets
 	}
 	inc, err := engine.NewIncremental(q, lay.DictView(), engine.Options{
-		Context:    p.ctx,
-		Partitions: p.opts.Partitions,
-		Metrics:    p.opts.Metrics,
+		Context: p.ctx,
+		Metrics: p.opts.Metrics,
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package rdf
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -124,6 +125,30 @@ func TestDictConcurrentEncode(t *testing.T) {
 			if ids[w][i] != ids[0][i] {
 				t.Fatalf("worker %d got ID %d for term %d, worker 0 got %d", w, ids[w][i], i, ids[0][i])
 			}
+		}
+	}
+}
+
+// TestDictIDsAreDense checks the dictionary invariant higher layers rely
+// on for slice-indexed structures: IDs are handed out contiguously from 0.
+func TestDictIDsAreDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	d := NewDict()
+	var max ID
+	seen := make(map[ID]bool)
+	for i := 0; i < 1000; i++ {
+		id := d.Encode(randomTerm(rng, i%3))
+		seen[id] = true
+		if id > max {
+			max = id
+		}
+	}
+	if int(max)+1 != d.Len() {
+		t.Fatalf("max ID %d but Len %d", max, d.Len())
+	}
+	for i := ID(0); i <= max; i++ {
+		if !seen[i] {
+			t.Fatalf("ID %d skipped", i)
 		}
 	}
 }
