@@ -32,8 +32,10 @@ race:
 # fuzz hammers the decoders of untrusted bytes — durable-cursor client
 # tokens and on-disk records, the PCOL column files every sub-partition
 # and index is read from, the Bloom filter files and the advisor's
-# joins.jrd that Load reads at start-up, and the N-Triples and SPARQL
-# parsers behind pingd's /update and /query bodies: no input may panic
+# joins.jrd that Load reads at start-up, the manifest log OpenOnDisk
+# replays and the dictionary base and segments Load reads at every
+# start, and the N-Triples and SPARQL parsers behind pingd's /update
+# and /query bodies: no input may panic
 # or allocate for data it does not carry, and accepted inputs must
 # round-trip. Go allows one -fuzz pattern per invocation, so
 # each target gets its own run.
@@ -44,6 +46,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeColumns$$' -fuzztime=$(FUZZTIME) ./internal/columnar/
 	$(GO) test -run='^$$' -fuzz='^FuzzBloomRead$$' -fuzztime=$(FUZZTIME) ./internal/bloom/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadJoins$$' -fuzztime=$(FUZZTIME) ./internal/hpart/
+	$(GO) test -run='^$$' -fuzz='^FuzzReplayManifestLog$$' -fuzztime=$(FUZZTIME) ./internal/dfs/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadDict$$' -fuzztime=$(FUZZTIME) ./internal/rdf/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseNTriples$$' -fuzztime=$(FUZZTIME) ./internal/rdf/
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/sparql/
 

@@ -302,15 +302,37 @@ func payloadSize(vals []uint32, enc Encoding) int {
 // estimation. Ties break toward the earlier encoding in Plain, Delta,
 // DictRLE order (a later candidate must be strictly smaller to win),
 // matching the historical encode-everything behaviour.
+//
+// DictRLE spends at least two bytes per run (dictionary index and run
+// length) and at least two on its dictionary (the count and one value),
+// so when 2·runs + 2 cannot beat the best so far its exact sizing — two
+// maps and a sort — is skipped. That is the common case for sorted
+// distinct key columns, and the choice and the size are unchanged.
 func chooseAuto(vals []uint32) (Encoding, int) {
 	best, bestEnc := sizePlain(vals), Plain
 	if d := sizeDelta(vals); d < best {
 		best, bestEnc = d, Delta
 	}
-	if d := sizeDictRLE(vals); d < best {
-		best, bestEnc = d, DictRLE
+	if 2*countRuns(vals)+2 < best {
+		if d := sizeDictRLE(vals); d < best {
+			best, bestEnc = d, DictRLE
+		}
 	}
 	return bestEnc, best
+}
+
+// countRuns returns the number of maximal runs of equal values.
+func countRuns(vals []uint32) int {
+	if len(vals) == 0 {
+		return 0
+	}
+	runs := 1
+	for i := 1; i < len(vals); i++ {
+		if vals[i] != vals[i-1] {
+			runs++
+		}
+	}
+	return runs
 }
 
 // encode returns the payload for a column under enc; for Auto it sizes all

@@ -248,6 +248,71 @@ func TestAutoChoiceMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestAutoRunBoundMatchesExhaustive: chooseAuto skips sizing DictRLE
+// when its run-count floor cannot win. On random and adversarial columns
+// — empty, constant, sorted distinct, alternating runs, and run lengths
+// around the point where DictRLE starts to win — it must return the same
+// encoding and size as the exhaustive three-way minimum.
+func TestAutoRunBoundMatchesExhaustive(t *testing.T) {
+	exhaustive := func(vals []uint32) (Encoding, int) {
+		best, enc := sizePlain(vals), Plain
+		if d := sizeDelta(vals); d < best {
+			best, enc = d, Delta
+		}
+		if d := sizeDictRLE(vals); d < best {
+			best, enc = d, DictRLE
+		}
+		return enc, best
+	}
+	rng := rand.New(rand.NewSource(29))
+	var cols [][]uint32
+	for _, n := range []int{0, 1, 2, 3, 7, 64, 1000} {
+		constant := make([]uint32, n)
+		sorted := make([]uint32, n)
+		big := make([]uint32, n)
+		for i := range sorted {
+			constant[i] = 1 << 30
+			sorted[i] = uint32(i)
+			big[i] = uint32(i) << 20
+		}
+		cols = append(cols, constant, sorted, big)
+		for run := 1; run <= 5; run++ {
+			for _, gap := range []uint32{1, 200, 1 << 25} {
+				alt := make([]uint32, n)
+				for i := range alt {
+					alt[i] = uint32(i/run%2) * gap
+				}
+				cols = append(cols, alt)
+			}
+		}
+		for k := 0; k < 20; k++ {
+			r := make([]uint32, n)
+			card := 1 + rng.Intn(8)
+			for i := range r {
+				r[i] = uint32(rng.Intn(card)) << uint(rng.Intn(28))
+				if i > 0 && rng.Intn(3) > 0 {
+					r[i] = r[i-1]
+				}
+			}
+			cols = append(cols, r)
+		}
+	}
+	for _, vals := range cols {
+		gotEnc, gotSize := chooseAuto(vals)
+		wantEnc, wantSize := exhaustive(vals)
+		if gotEnc != wantEnc || gotSize != wantSize {
+			t.Fatalf("chooseAuto(%v) = %v/%d, exhaustive %v/%d", vals, gotEnc, gotSize, wantEnc, wantSize)
+		}
+	}
+	if err := quick.Check(func(vals []uint32) bool {
+		gotEnc, gotSize := chooseAuto(vals)
+		wantEnc, wantSize := exhaustive(vals)
+		return gotEnc == wantEnc && gotSize == wantSize
+	}, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 // BenchmarkAutoEncode measures the Auto write path (size-estimate three,
 // encode one) against brute-force triple encoding, on a mixed set of
 // columns like the hpart indexes produce.

@@ -180,6 +180,19 @@ type FS struct {
 	nextBlock uint64
 	nodeBytes []int64
 
+	// disk is the block store of a disk-backed FS (nil in memory); its
+	// namespace is made durable by SaveManifest (manifest.go). On such a
+	// store mu also guards dirty, the paths committed or removed since
+	// the last save, and pendingDel, the blocks released since then:
+	// they are deleted only once a save that no longer names them is
+	// durable, so a crash never leaves a manifest naming deleted blocks.
+	disk       *diskStore
+	dirty      map[string]struct{}
+	pendingDel []blockMeta
+	// saveMu serializes SaveManifest and guards mlog.
+	saveMu sync.Mutex
+	mlog   manifestLog
+
 	bytesRead atomic.Int64
 
 	// healthMu guards the read-path health counters as one unit so Usage
@@ -255,7 +268,10 @@ func NewOnDisk(dir string, cfg Config) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newFS(cfg, ds), nil
+	f := newFS(cfg, ds)
+	f.disk = ds
+	f.dirty = make(map[string]struct{})
+	return f, nil
 }
 
 func newFS(cfg Config, store BlockStore) *FS {
@@ -591,19 +607,46 @@ func (f *FS) commit(path string, meta fileMeta) {
 	f.mu.Lock()
 	old, existed := f.files[path]
 	f.files[path] = meta
-	f.mu.Unlock()
+	f.markDirtyLocked(path)
+	var drop []blockMeta
 	if existed {
-		f.releaseBlocks(old)
+		drop = f.releaseLocked(old)
+	}
+	store := f.store
+	f.mu.Unlock()
+	deleteBlocks(store, drop)
+}
+
+// markDirtyLocked records that path changed since the last save. Caller
+// holds mu.
+func (f *FS) markDirtyLocked(path string) {
+	if f.dirty != nil {
+		f.dirty[path] = struct{}{}
 	}
 }
 
-func (f *FS) releaseBlocks(meta fileMeta) {
+// releaseLocked accounts for the blocks of a file that left the
+// namespace and returns the ones to delete now. The in-memory store
+// deletes them at once; a disk-backed store queues them for the next
+// SaveManifest, which deletes them once its record is durable. Caller
+// holds mu.
+func (f *FS) releaseLocked(meta fileMeta) []blockMeta {
 	for _, b := range meta.blocks {
 		for _, n := range b.nodes {
-			_ = f.store.Del(n, b.id)
-			f.mu.Lock()
 			f.nodeBytes[n] -= b.size
-			f.mu.Unlock()
+		}
+	}
+	if f.disk != nil {
+		f.pendingDel = append(f.pendingDel, meta.blocks...)
+		return nil
+	}
+	return meta.blocks
+}
+
+func deleteBlocks(store BlockStore, blocks []blockMeta) {
+	for _, b := range blocks {
+		for _, n := range b.nodes {
+			_ = store.Del(n, b.id)
 		}
 	}
 }
@@ -688,14 +731,18 @@ func (f *FS) Remove(path string) error {
 	path = cleanPath(path)
 	f.mu.Lock()
 	meta, ok := f.files[path]
+	var drop []blockMeta
 	if ok {
 		delete(f.files, path)
+		f.markDirtyLocked(path)
+		drop = f.releaseLocked(meta)
 	}
+	store := f.store
 	f.mu.Unlock()
 	if !ok {
 		return &os.PathError{Op: "remove", Path: path, Err: os.ErrNotExist}
 	}
-	f.releaseBlocks(meta)
+	deleteBlocks(store, drop)
 	return nil
 }
 

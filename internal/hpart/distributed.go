@@ -106,6 +106,7 @@ func PartitionDistributed(g *rdf.Graph, ctx *dataflow.Context, opts Options) (*L
 		SubPartRows: make(map[SubPartKey]int),
 		gen:         make(map[SubPartKey]uint64),
 		fs:          fs,
+		dictFiles:   new(dictFiles),
 	}
 	lay.LevelTriples = make([]int64, lay.NumLevels)
 	if opts.BuildBlooms {

@@ -115,6 +115,10 @@ type Layout struct {
 	// hash afresh.
 	sig atomic.Uint64
 
+	// dictFiles tracks the persisted part of Dict (see SaveDict); shared
+	// by every clone.
+	dictFiles *dictFiles
+
 	// cache is the optional LRU of decoded sub-partitions (see
 	// EnableSubPartCache); cacheMu guards installation/removal.
 	cacheMu sync.Mutex
@@ -163,6 +167,7 @@ func Partition(g *rdf.Graph, opts Options) (*Layout, error) {
 		LevelTriples: make([]int64, h.MaxLevel()),
 		gen:          make(map[SubPartKey]uint64),
 		fs:           fs,
+		dictFiles:    new(dictFiles),
 	}
 
 	// Pre-resolve each subject's level once, into a dense array indexed
@@ -320,6 +325,7 @@ func (l *Layout) Clone() *Layout {
 		joins:          maps.Clone(l.joins),
 		gen:            maps.Clone(l.gen),
 		epoch:          l.epoch,
+		dictFiles:      l.dictFiles,
 		cache:          l.subPartCache(),
 	}
 	if cp.gen == nil {

@@ -1,7 +1,9 @@
 package hpart
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ping/internal/columnar"
@@ -47,6 +49,11 @@ type Maintainer struct {
 	// oiCount tracks, per (object, level), how many triples reference the
 	// object there — the exact refcounts behind the OI index.
 	oiCount map[objLevel]int
+	// physLevel is every CS's physical level as of the last batch. A
+	// batch scans all subjects for level shifts only when one of these
+	// changed; nil (the first batch, and after a Restructure) forces
+	// the scan.
+	physLevel map[string]int
 
 	// retired / created accumulate, during one Apply, the files
 	// superseded by the batch and the files the batch wrote.
@@ -141,6 +148,7 @@ func (m *Maintainer) Restructure(merges []LevelMerge, joinsFn func(*Layout) (map
 	if len(merges) == 0 && joinsFn == nil {
 		return nil
 	}
+	m.physLevel = nil
 	return m.mutate(func() error {
 		if err := m.mergeLevels(merges); err != nil {
 			return err
@@ -226,15 +234,7 @@ func (m *Maintainer) mergeLevels(merges []LevelMerge) error {
 		}
 	}
 	for _, tkey := range targets {
-		rows := appends[tkey]
-		if m.lay.HasSubPartition(tkey) {
-			existing, err := m.lay.ReadSubPartition(tkey)
-			if err != nil {
-				return err
-			}
-			rows = append(existing, rows...)
-		}
-		if err := m.writeSubPartition(tkey, rows); err != nil {
+		if err := m.appendRows(tkey, appends[tkey]); err != nil {
 			return err
 		}
 	}
@@ -397,35 +397,23 @@ func (m *Maintainer) applyBatch(add, remove []rdf.Triple) error {
 	for s := range deltas {
 		moved[s] = true
 	}
-	// Batch all pure level shifts into one extraction pass: when a new CS
-	// renumbers many existing CSs, every affected sub-partition file is
-	// still read and rewritten exactly once.
-	shiftKeys := make(map[SubPartKey]map[rdf.ID]bool)
+	// SI holds physical levels; compare against the remapped level so an
+	// advisor merge is not mistaken for a hierarchy shift (and undone) on
+	// the next data batch. After every batch each subject sits at its
+	// CS's physical level, so only a CS whose level changed can have
+	// subjects outside the delta to move; CSs new to this batch hold
+	// delta subjects only.
 	levelByKey := make(map[string]int, len(m.csByKey))
+	shifted := m.physLevel == nil
 	for key, set := range m.csByKey {
-		levelByKey[key] = h.LevelOf(set)
-	}
-	for s, set := range m.csBySubject {
-		if moved[s] {
-			continue
-		}
-		// SI holds physical levels; compare against the remapped level so
-		// an advisor merge is not mistaken for a hierarchy shift (and
-		// undone) on the next data batch.
-		if newLevel := m.lay.PhysLevel(levelByKey[set.Key()]); newLevel != m.lay.SI[s] {
-			moved[s] = true
-			oldLevel := m.lay.SI[s]
-			for _, p := range set.Props() {
-				key := SubPartKey{Level: oldLevel, Prop: p}
-				if shiftKeys[key] == nil {
-					shiftKeys[key] = make(map[rdf.ID]bool)
-				}
-				shiftKeys[key][s] = true
-			}
+		level := m.lay.PhysLevel(h.LevelOf(set))
+		levelByKey[key] = level
+		if old, ok := m.physLevel[key]; ok && old != level {
+			shifted = true
 		}
 	}
-	if len(shiftKeys) > 0 {
-		if err := m.extractFromFiles(shiftKeys, rowsBySubject); err != nil {
+	if shifted {
+		if err := m.extractFromFiles(m.levelShifts(levelByKey, moved), rowsBySubject); err != nil {
 			return err
 		}
 	}
@@ -438,7 +426,37 @@ func (m *Maintainer) applyBatch(add, remove []rdf.Triple) error {
 	m.lay.Hierarchy = h
 	m.lay.NumLevels = h.MaxLevel()
 	m.recomputeLevelStats()
-	return m.lay.writeIndexes()
+	if err := m.lay.writeIndexes(); err != nil {
+		return err
+	}
+	m.physLevel = levelByKey
+	return nil
+}
+
+// levelShifts finds the subjects outside the batch whose CS now sits at
+// another physical level, marks them moved, and groups them by the
+// sub-partition they leave. Batching all pure level shifts into one
+// extraction pass means that when a new CS renumbers many existing CSs,
+// every affected sub-partition file is still read and rewritten exactly
+// once.
+func (m *Maintainer) levelShifts(levelByKey map[string]int, moved map[rdf.ID]bool) map[SubPartKey]map[rdf.ID]bool {
+	shiftKeys := make(map[SubPartKey]map[rdf.ID]bool)
+	for s, set := range m.csBySubject {
+		if moved[s] {
+			continue
+		}
+		if oldLevel := m.lay.SI[s]; levelByKey[set.Key()] != oldLevel {
+			moved[s] = true
+			for _, p := range set.Props() {
+				key := SubPartKey{Level: oldLevel, Prop: p}
+				if shiftKeys[key] == nil {
+					shiftKeys[key] = make(map[rdf.ID]bool)
+				}
+				shiftKeys[key][s] = true
+			}
+		}
+	}
+	return shiftKeys
 }
 
 // pruneLevelMap drops level-remap entries a hierarchy rebuild made
@@ -539,23 +557,44 @@ func (m *Maintainer) placeSubjects(h *cs.Hierarchy, moved map[rdf.ID]bool, rowsB
 		}
 	}
 	for key, rows := range appends {
-		var existing []Pair
-		if m.lay.HasSubPartition(key) {
-			var err error
-			existing, err = m.lay.ReadSubPartition(key)
-			if err != nil {
-				return err
-			}
-		}
-		if err := m.writeSubPartition(key, append(existing, rows...)); err != nil {
+		if err := m.appendRows(key, rows); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeSubPartition persists a sub-partition's rows and keeps
-// SubPartRows, StoredBytes, and VP in sync. The rows go to the next
+// appendRows rewrites a sub-partition with rows added. The file's rows
+// are already in (S, O) order, so only the new rows are sorted, then
+// merged in.
+func (m *Maintainer) appendRows(key SubPartKey, rows []Pair) error {
+	var existing []Pair
+	if m.lay.HasSubPartition(key) {
+		var err error
+		if existing, err = m.lay.ReadSubPartition(key); err != nil {
+			return err
+		}
+	}
+	slices.SortFunc(rows, comparePairs)
+	merged := make([]Pair, 0, len(existing)+len(rows))
+	for len(existing) > 0 && len(rows) > 0 {
+		if comparePairs(rows[0], existing[0]) < 0 {
+			merged, rows = append(merged, rows[0]), rows[1:]
+		} else {
+			merged, existing = append(merged, existing[0]), existing[1:]
+		}
+	}
+	merged = append(append(merged, existing...), rows...)
+	return m.writeSubPartition(key, merged)
+}
+
+func comparePairs(a, b Pair) int {
+	return cmp.Or(cmp.Compare(a.S, b.S), cmp.Compare(a.O, b.O))
+}
+
+// writeSubPartition persists a sub-partition's rows, which the caller
+// passes in (S, O) order, and keeps SubPartRows, StoredBytes, and VP in
+// sync. The rows go to the next
 // generation the store hands out, under a fresh name, and the old file
 // is retired for the epoch GC, leaving pinned snapshots untouched.
 func (m *Maintainer) writeSubPartition(key SubPartKey, rows []Pair) error {
@@ -587,12 +626,6 @@ func (m *Maintainer) writeSubPartition(key SubPartKey, rows []Pair) error {
 		m.refreshVP(key.Prop)
 		return nil
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].S != rows[j].S {
-			return rows[i].S < rows[j].S
-		}
-		return rows[i].O < rows[j].O
-	})
 	scol := make([]uint32, len(rows))
 	ocol := make([]uint32, len(rows))
 	for i, pr := range rows {

@@ -2,6 +2,7 @@ package hpart
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -167,10 +168,15 @@ func TestMaintainerRemoveFlattensHierarchy(t *testing.T) {
 	layoutsEquivalent(t, m.Layout(), rebuild(t, g2), "flatten")
 }
 
-// TestMaintainerRandomizedEquivalence is the main property test: random
-// update batches applied incrementally must yield exactly the layout a
-// from-scratch Partition produces on the updated graph.
+// TestMaintainerRandomizedEquivalence: random add/remove batches, with
+// advisor level merges (Restructure) between some of them and batches
+// that deepen the hierarchy after a merge, must leave the same layout as
+// partitioning the updated graph from scratch and applying the same level
+// remap. A data batch scans every subject for level shifts only when a
+// CS's physical level changed, so a skipped scan after a merge or a
+// deepening would leave subjects on stale levels and fail here.
 func TestMaintainerRandomizedEquivalence(t *testing.T) {
+	deepenedAfterMerge := 0
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(seed, 80, 5)
@@ -185,7 +191,17 @@ func TestMaintainerRandomizedEquivalence(t *testing.T) {
 			current[tr] = true
 		}
 
-		for batch := 0; batch < 4; batch++ {
+		merged := false
+		for batch := 0; batch < 7; batch++ {
+			if batch == 2 || batch == 5 {
+				// An advisor merge of the deepest level into the one above.
+				if n := m.Layout().NumLevels; n >= 2 {
+					if err := m.Restructure([]LevelMerge{{From: n, Into: n - 1}}, nil); err != nil {
+						t.Fatalf("seed %d batch %d: merge: %v", seed, batch, err)
+					}
+					merged = true
+				}
+			}
 			var add, remove []rdf.Triple
 			// Removals: sample existing triples.
 			for tr := range current {
@@ -204,8 +220,15 @@ func TestMaintainerRandomizedEquivalence(t *testing.T) {
 				o := g.Dict.EncodeIRI(fmt.Sprintf("http://x/o%d", rng.Intn(60)))
 				add = append(add, rdf.Triple{S: s, P: p, O: o})
 			}
+			if batch%3 == 0 {
+				add = append(add, deepeningSubject(m.Layout(), fmt.Sprintf("%d-%d", seed, batch))...)
+			}
+			before := m.Layout().NumLevels
 			if err := m.Apply(add, remove); err != nil {
 				t.Fatalf("seed %d batch %d: %v", seed, batch, err)
+			}
+			if merged && m.Layout().NumLevels > before {
+				deepenedAfterMerge++
 			}
 			for _, tr := range remove {
 				delete(current, tr)
@@ -214,16 +237,56 @@ func TestMaintainerRandomizedEquivalence(t *testing.T) {
 				current[tr] = true
 			}
 
-			// Rebuild from scratch on the updated triple set.
+			// Rebuild from scratch on the updated triple set, with the
+			// maintained level remap.
 			g2 := &rdf.Graph{Dict: g.Dict}
 			for tr := range current {
 				g2.AddID(tr)
 			}
 			g2.Dedup()
-			layoutsEquivalent(t, m.Layout(), rebuild(t, g2),
+			layoutsEquivalent(t, m.Layout(), rebuildMerged(t, g2, m.Layout().LevelMap),
 				fmt.Sprintf("seed %d batch %d", seed, batch))
 		}
 	}
+	if deepenedAfterMerge == 0 {
+		t.Fatal("no batch deepened the hierarchy after a merge")
+	}
+}
+
+// deepeningSubject returns the triples of a new subject whose CS is a
+// deepest CS plus one new property, which puts it one level below every
+// existing CS.
+func deepeningSubject(lay *Layout, tag string) []rdf.Triple {
+	h := lay.Hierarchy
+	deepest := h.Sets[h.SetsAtLevel(h.MaxLevel())[0]]
+	s := lay.Dict.EncodeIRI("http://x/deep" + tag)
+	o := lay.Dict.EncodeIRI("http://x/o0")
+	out := []rdf.Triple{{S: s, P: lay.Dict.EncodeIRI("http://x/pdeep" + tag), O: o}}
+	for _, p := range deepest.Props() {
+		out = append(out, rdf.Triple{S: s, P: p, O: o})
+	}
+	return out
+}
+
+// rebuildMerged partitions g from scratch and applies the level remap
+// lm as advisor merges, one per remapped level in ascending order: a
+// merge never targets a level a later one moves, so this reproduces lm
+// exactly, unchained.
+func rebuildMerged(t *testing.T, g *rdf.Graph, lm map[int]int) *Layout {
+	t.Helper()
+	m, err := NewStoreMaintainer(NewStore(rebuild(t, g)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, logical := range sortedKeys(lm) {
+		if err := m.Restructure([]LevelMerge{{From: logical, Into: lm[logical]}}, nil); err != nil {
+			t.Fatalf("oracle merge %d->%d: %v", logical, lm[logical], err)
+		}
+	}
+	if got := m.Layout().LevelMap; !maps.Equal(got, lm) {
+		t.Fatalf("oracle level map %v, want %v", got, lm)
+	}
+	return m.Layout()
 }
 
 func TestMaintainerNoOp(t *testing.T) {

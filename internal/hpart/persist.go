@@ -1,9 +1,11 @@
 package hpart
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"ping/internal/columnar"
 	"ping/internal/dfs"
@@ -18,6 +20,11 @@ const (
 	oiPath   = "indexes/oi.pcol"
 	metaPath = "meta.pcol"
 	dictPath = "dict.txt"
+	// dictSegDir holds the dictionary segments SaveDict appends after
+	// the base dict.txt, one per save that interned terms, each named by
+	// its ID range [first, end).
+	dictSegDir = "dictseg/"
+	dictSegFmt = dictSegDir + "%010d-%010d.txt"
 )
 
 func splitSet(s LevelSet) (lo, hi uint32) {
@@ -137,21 +144,112 @@ func sortedSubParts[V any](m map[SubPartKey]V) []SubPartKey {
 	return keys
 }
 
+// dictFiles records how much of the shared dictionary is on storage, as
+// the base dict.txt plus segments. Every epoch of a store shares it.
+type dictFiles struct {
+	mu sync.Mutex
+	// based is set once a base this store wrote or loaded is on storage.
+	based bool
+	// persisted is the number of terms in the base and its segments.
+	persisted int
+	// baseBytes and segBytes size the base and the segments, which are
+	// folded into a new base once they reach its size.
+	baseBytes, segBytes int64
+}
+
 // SaveDict persists the term dictionary alongside the partitions so a
-// layout directory is self-contained (used by the CLI tools).
+// layout directory is self-contained (used by the CLI tools). The first
+// save of a store writes the whole dictionary as dict.txt; a later save
+// writes only the terms interned since the previous one, as one segment
+// file, and nothing when no term is new. Once the segments' bytes reach
+// the base's, the save folds them into a new base instead, which keeps
+// the cost amortized O(1) per term.
 func (l *Layout) SaveDict() error {
+	df := l.dictFiles
+	df.mu.Lock()
+	defer df.mu.Unlock()
+	n := l.Dict.Len()
+	if df.based && n == df.persisted {
+		return nil
+	}
+	var seg bytes.Buffer
+	if df.based {
+		if _, err := l.Dict.WriteSegment(&seg, df.persisted, n); err != nil {
+			return fmt.Errorf("hpart: save dict: %w", err)
+		}
+	}
+	if !df.based || df.segBytes+int64(seg.Len()) >= df.baseBytes {
+		return l.writeDictBase(df, n)
+	}
+	if err := l.fs.WriteFile(fmt.Sprintf(dictSegFmt, df.persisted, n), seg.Bytes()); err != nil {
+		return fmt.Errorf("hpart: save dict: %w", err)
+	}
+	df.persisted = n
+	df.segBytes += int64(seg.Len())
+	return nil
+}
+
+// writeDictBase writes the first n terms as dict.txt and removes every
+// segment. Both changes reach disk in the same manifest save, so a crash
+// never pairs the new base with an old segment. Caller holds df.mu.
+func (l *Layout) writeDictBase(df *dictFiles, n int) error {
 	w, err := l.fs.Create(dictPath)
 	if err != nil {
 		return fmt.Errorf("hpart: %w", err)
 	}
-	_, err = l.Dict.WriteTo(w)
+	size, err := l.Dict.WriteSegment(w, 0, n)
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return fmt.Errorf("hpart: save dict: %w", err)
 	}
+	for _, fi := range l.fs.List(dictSegDir) {
+		if err := l.fs.Remove(fi.Path); err != nil {
+			return fmt.Errorf("hpart: save dict: %w", err)
+		}
+	}
+	df.based, df.persisted, df.baseBytes, df.segBytes = true, n, size, 0
 	return nil
+}
+
+// readDict reads the base dictionary and then its segments in ID order,
+// rejecting a gap or an overlap between them.
+func readDict(fs *dfs.FS) (*rdf.Dict, *dictFiles, error) {
+	base, err := fs.Stat(dictPath)
+	if err != nil {
+		return nil, nil, fmt.Errorf("hpart: no dictionary provided and %s missing: %w", dictPath, err)
+	}
+	dict := rdf.NewDict()
+	readInto := func(path string) error {
+		data, err := fs.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("hpart: %w", err)
+		}
+		return dict.ReadSegment(bytes.NewReader(data))
+	}
+	if err := readInto(dictPath); err != nil {
+		return nil, nil, err
+	}
+	df := &dictFiles{based: true, baseBytes: base.Size}
+	for _, fi := range fs.List(dictSegDir) {
+		var first, end int
+		if _, err := fmt.Sscanf(fi.Path, dictSegFmt, &first, &end); err != nil {
+			return nil, nil, fmt.Errorf("hpart: dictionary segment %s: bad name", fi.Path)
+		}
+		if first != dict.Len() {
+			return nil, nil, fmt.Errorf("hpart: dictionary segment %s starts at ID %d, after %d terms", fi.Path, first, dict.Len())
+		}
+		if err := readInto(fi.Path); err != nil {
+			return nil, nil, fmt.Errorf("hpart: dictionary segment %s: %w", fi.Path, err)
+		}
+		if dict.Len() != end {
+			return nil, nil, fmt.Errorf("hpart: dictionary segment %s ends at ID %d", fi.Path, dict.Len())
+		}
+		df.segBytes += fi.Size
+	}
+	df.persisted = dict.Len()
+	return dict, df, nil
 }
 
 // Load reconstructs a Layout from a file system previously populated by
@@ -177,14 +275,12 @@ func Load(fs *dfs.FS, dict *rdf.Dict) (*Layout, error) {
 		return nil, fmt.Errorf("hpart: %s has %d columns, want %v", path, len(cols), wantCols)
 	}
 
+	// A caller-provided dictionary is not known to match storage: the
+	// first SaveDict writes a whole base.
+	df := new(dictFiles)
 	if dict == nil {
-		r, err := fs.Open(dictPath)
-		if err != nil {
-			return nil, fmt.Errorf("hpart: no dictionary provided and %s missing: %w", dictPath, err)
-		}
-		dict, err = rdf.ReadDict(r)
-		r.Close()
-		if err != nil {
+		var err error
+		if dict, df, err = readDict(fs); err != nil {
 			return nil, err
 		}
 	}
@@ -197,6 +293,7 @@ func Load(fs *dfs.FS, dict *rdf.Dict) (*Layout, error) {
 		SubPartRows: make(map[SubPartKey]int),
 		gen:         make(map[SubPartKey]uint64),
 		fs:          fs,
+		dictFiles:   df,
 	}
 
 	// Pre-epoch stores wrote 6 meta columns (no generations); their

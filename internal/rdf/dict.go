@@ -205,57 +205,101 @@ func (d *Dict) TermString(id ID) string { return d.Term(id).String() }
 func (d *Dict) WriteTo(w io.Writer) (int64, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	bw := bufio.NewWriter(w)
-	var n int64
-	k, err := fmt.Fprintf(bw, "%d\n", len(d.terms))
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	for _, t := range d.terms {
-		k, err = fmt.Fprintf(bw, "%s\n", t.String())
-		n += int64(k)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
+	return d.writeRange(w, 0, len(d.terms))
 }
+
+// WriteSegment serializes the terms with IDs in [from, to) in the WriteTo
+// format. Appending it to a dictionary of exactly from terms with
+// ReadSegment restores IDs from..to-1.
+func (d *Dict) WriteSegment(w io.Writer, from, to int) (int64, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if from < 0 || from > to || to > len(d.terms) {
+		return 0, fmt.Errorf("rdf: dict segment [%d, %d) outside %d terms", from, to, len(d.terms))
+	}
+	return d.writeRange(w, from, to)
+}
+
+// writeRange writes terms [from, to) through one reused line buffer.
+// Caller holds mu.
+func (d *Dict) writeRange(w io.Writer, from, to int) (int64, error) {
+	// A bufio.Writer keeps its first error and returns it from Flush.
+	bw := bufio.NewWriterSize(w, 1<<16)
+	line := strconv.AppendInt(make([]byte, 0, 256), int64(to-from), 10)
+	n, _ := bw.Write(append(line, '\n'))
+	total := int64(n)
+	for _, t := range d.terms[from:to] {
+		line = append(t.appendTo(line[:0]), '\n')
+		n, _ = bw.Write(line)
+		total += int64(n)
+	}
+	return total, bw.Flush()
+}
+
+// The count header is input, and a few bytes must not reserve room for
+// billions of terms. ReadSegment reserves room for no more terms than
+// the rest of the input can hold, each line taking at least
+// minDictLine bytes, or for maxDictPrealloc terms when the reader does
+// not tell how much is left.
+const (
+	minDictLine     = 3 // <>, "" or _:x, and the newline
+	maxDictPrealloc = 1 << 12
+)
 
 // ReadDict parses a dictionary previously written by WriteTo.
 func ReadDict(r io.Reader) (*Dict, error) {
+	d := NewDict()
+	if err := d.ReadSegment(r); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// ReadSegment appends the terms of a segment written by WriteSegment (or
+// of a whole dictionary written by WriteTo) to d, giving them the next
+// IDs in line order. A term d already holds is rejected: IDs are dense
+// and unique. On error d is left inconsistent and must be discarded.
+func (d *Dict) ReadSegment(r io.Reader) error {
 	br := bufio.NewReaderSize(r, 1<<16)
 	header, err := br.ReadString('\n')
 	if err != nil {
-		return nil, fmt.Errorf("rdf: dict header: %w", err)
+		return fmt.Errorf("rdf: dict header: %w", err)
 	}
 	count, err := strconv.Atoi(strings.TrimSpace(header))
 	if err != nil || count < 0 {
-		return nil, fmt.Errorf("rdf: bad dict count %q", strings.TrimSpace(header))
+		return fmt.Errorf("rdf: bad dict count %q", strings.TrimSpace(header))
 	}
-	d := &Dict{
-		byKey: make(map[string]ID, count),
-		terms: make([]Term, 0, count),
-		sig:   dictFNVOffset,
+	room := maxDictPrealloc
+	if lr, ok := r.(interface{ Len() int }); ok {
+		room = (lr.Len() + br.Buffered()) / minDictLine
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.terms) == 0 {
+		d.byKey = make(map[string]ID, min(count, room))
+		d.terms = make([]Term, 0, min(count, room))
 	}
 	for i := 0; i < count; i++ {
 		line, err := br.ReadString('\n')
 		if err != nil && !(err == io.EOF && line != "") {
-			return nil, fmt.Errorf("rdf: dict line %d: %w", i, err)
+			return fmt.Errorf("rdf: dict line %d: %w", i, err)
 		}
 		line = strings.TrimRight(line, "\n")
 		t, rest, err := parseTerm(line)
 		if err != nil {
-			return nil, fmt.Errorf("rdf: dict line %d: %w", i, err)
+			return fmt.Errorf("rdf: dict line %d: %w", i, err)
 		}
 		if strings.TrimSpace(rest) != "" {
-			return nil, fmt.Errorf("rdf: dict line %d: trailing data %q", i, rest)
+			return fmt.Errorf("rdf: dict line %d: trailing data %q", i, rest)
 		}
 		key := t.String()
 		d.byKey[key] = ID(len(d.terms))
+		if len(d.byKey) == len(d.terms) {
+			return fmt.Errorf("rdf: dict line %d: duplicate term %s", i, key)
+		}
 		d.terms = append(d.terms, t)
 		d.sig = foldSig(d.sig, key)
 		d.termBytes += int64(len(key))
 	}
-	return d, nil
+	return nil
 }

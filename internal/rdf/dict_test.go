@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -150,5 +152,58 @@ func TestDictIDsAreDense(t *testing.T) {
 		if !seen[i] {
 			t.Fatalf("ID %d skipped", i)
 		}
+	}
+}
+
+// TestDictSegments: a dictionary saved as a base plus segments reads
+// back with the same IDs, and the reader rejects a term it already
+// holds.
+func TestDictSegments(t *testing.T) {
+	d := NewDict()
+	for i := 0; i < 5; i++ {
+		d.Encode(NewIRI(fmt.Sprintf("http://x/%d", i)))
+	}
+	var base bytes.Buffer
+	if _, err := d.WriteTo(&base); err != nil {
+		t.Fatal(err)
+	}
+	d.Encode(NewLiteral("new\n\"one\""))
+	d.Encode(NewLangLiteral("deux", "fr"))
+	var seg bytes.Buffer
+	if _, err := d.WriteSegment(&seg, 5, d.Len()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadDict(&base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.ReadSegment(bytes.NewReader(seg.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != d.Len() || got.Sig() != d.Sig() {
+		t.Fatalf("base + segment: %d terms sig %x, want %d sig %x", got.Len(), got.Sig(), d.Len(), d.Sig())
+	}
+	if err := got.ReadSegment(bytes.NewReader(seg.Bytes())); err == nil {
+		t.Error("a segment of terms already held was accepted")
+	}
+	if _, err := d.WriteSegment(&seg, 3, 2); err == nil {
+		t.Error("WriteSegment accepted an inverted range")
+	}
+}
+
+// TestReadDictLyingCount: a header claiming billions of terms over an
+// input that carries one allocates for what the input carries, not for
+// what it claims.
+func TestReadDictLyingCount(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := ReadDict(strings.NewReader("4000000000\n<a>\n"))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a truncated dictionary was accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("reading a 15-byte dictionary allocated %d bytes", alloc)
 	}
 }

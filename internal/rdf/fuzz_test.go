@@ -41,3 +41,49 @@ func FuzzParseNTriples(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadDict hammers the dictionary decoder every store start runs,
+// on the base (ReadDict) and on a segment appended to a non-empty
+// dictionary (ReadSegment): no input may panic or allocate for terms it
+// does not carry, and what it accepts must round-trip through WriteTo
+// and WriteSegment.
+func FuzzReadDict(f *testing.F) {
+	for _, s := range []string{
+		"2\n<http://x/a>\n\"lit\"@en\n",
+		"1\n_:b\n",
+		"0\n",
+		"3\n<a>\n<a>\n<b>\n",
+		"99999999999\n<a>\n",
+		"1\n<a> trailing\n",
+		"-1\n",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		if d, err := ReadDict(strings.NewReader(input)); err == nil {
+			var out strings.Builder
+			if _, err := d.WriteTo(&out); err != nil {
+				t.Fatal(err)
+			}
+			again, err := ReadDict(strings.NewReader(out.String()))
+			if err != nil || again.Len() != d.Len() || again.Sig() != d.Sig() {
+				t.Fatalf("accepted dictionary does not round-trip: %v", err)
+			}
+		}
+		d := NewDict()
+		d.Encode(NewIRI("http://x/seed"))
+		if err := d.ReadSegment(strings.NewReader(input)); err != nil {
+			return
+		}
+		var seg strings.Builder
+		if _, err := d.WriteSegment(&seg, 1, d.Len()); err != nil {
+			t.Fatal(err)
+		}
+		again := NewDict()
+		again.Encode(NewIRI("http://x/seed"))
+		if err := again.ReadSegment(strings.NewReader(seg.String())); err != nil || again.Sig() != d.Sig() {
+			t.Fatalf("accepted segment does not round-trip: %v", err)
+		}
+	})
+}
