@@ -3,7 +3,7 @@ GO ?= go
 # Minimum statement coverage (%) for internal/obs enforced by `make cover`.
 OBS_COVER_MIN ?= 80
 
-.PHONY: check build vet fmt test race bench benchmark bench-json bench-compare bench-gate cover workload-report advise-report prof-report fuzz noskip lint
+.PHONY: check build vet fmt test race bench benchmark bench-json bench-compare bench-gate cover workload-report advise-report prof-report fuzz noskip lint loc
 
 # check is the full gate: build, vet, formatting, the race-enabled test
 # suite, the coverage floor, the no-skip guard on the SLO and wide-event
@@ -175,6 +175,16 @@ noskip:
 		echo "no SLO/wide-event tests ran (test name pattern rot?)"; exit 1; \
 	fi; \
 	echo "slo/wide-event suites: all ran, none skipped"
+
+# loc prints the non-test Go lines of every package and their total
+# outside benchmark/ (the end-to-end benchmark harness): the size
+# figure a change that shrinks the code reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); if (d == "") d = "."; \
+	    n[d] += $$1; if (d !~ /^benchmark(\/|$$)/) t += $$1 } \
+	  END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+	    printf "%7d  total outside benchmark/\n", t }'
 
 # lint runs staticcheck and govulncheck when installed (CI installs
 # both; locally they are optional extras on top of go vet).

@@ -239,18 +239,6 @@ func BenchmarkPartitioner(b *testing.B) {
 	}
 }
 
-func BenchmarkPartitionerDistributed(b *testing.B) {
-	data := gmark.Uniprot().Generate(0.2, 3)
-	ctx := dataflow.NewContext(4)
-	b.ReportMetric(float64(data.Graph.Len()), "triples")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := hpart.PartitionDistributed(data.Graph, ctx, hpart.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkIncrementalMaintenance(b *testing.B) {
 	data := gmark.Uniprot().Generate(0.2, 3)
 	lay, err := hpart.Partition(data.Graph, hpart.Options{})

@@ -78,7 +78,7 @@ func main() {
 	}
 
 	cfg := advisor.Config{TopK: *top, MinMergeRun: *minRun, MaxReductions: *maxJoins}
-	if cfg.Strategy, err = parseStrategy(*strategy); err != nil {
+	if cfg.Strategy, err = ping.ParseSliceStrategy(*strategy); err != nil {
 		fatal(err)
 	}
 	adv, err := advisor.Analyze(lay, stats, cfg)
@@ -113,21 +113,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "applied: %d level merge(s), %d join reduction(s); new signature %016x\n",
 		len(adv.Merges), len(adv.Joins), lay.Signature())
-}
-
-func parseStrategy(name string) (ping.SliceStrategy, error) {
-	switch name {
-	case "level":
-		return ping.LevelCumulative, nil
-	case "product":
-		return ping.ProductOrder, nil
-	case "largest":
-		return ping.LargestFirst, nil
-	case "smallest":
-		return ping.SmallestFirst, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", name)
-	}
 }
 
 func fatal(err error) {

@@ -26,10 +26,7 @@ type adviserState struct {
 // against the current epoch and caches it as the latest.
 func (s *server) advise() (*advisor.Advice, error) {
 	lay := s.store.Current()
-	adv, err := advisor.Analyze(lay, s.profiler.Snapshot(), advisor.Config{
-		TopK:     s.cfg.AdviseTop,
-		Strategy: s.cfg.Strategy,
-	})
+	adv, err := advisor.Analyze(lay, s.profiler.Snapshot(), advisor.Config{Strategy: s.cfg.Strategy})
 	s.adviser.mu.Lock()
 	defer s.adviser.mu.Unlock()
 	if err != nil {
@@ -153,34 +150,20 @@ func (s *server) startAdvisor(interval time.Duration, apply bool, logf func(form
 	if interval <= 0 {
 		return func() {}
 	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				adv, err := s.advise()
-				if err != nil {
-					logf("advisor: analyze: %v", err)
-					continue
-				}
-				if !apply || adv.Empty() {
-					continue
-				}
-				if err := s.applyAdvice(adv); err != nil {
-					logf("advisor: apply: %v", err)
-					continue
-				}
-				logf("advisor: applied %d merge(s), %d join reduction(s); epoch %d",
-					len(adv.Merges), len(adv.Joins), s.store.Current().Epoch())
-			case <-done:
-				return
-			}
+	return every(interval, func() {
+		adv, err := s.advise()
+		if err != nil {
+			logf("advisor: analyze: %v", err)
+			return
 		}
-	}()
-	return func() { close(done) }
+		if !apply || adv.Empty() {
+			return
+		}
+		if err := s.applyAdvice(adv); err != nil {
+			logf("advisor: apply: %v", err)
+			return
+		}
+		logf("advisor: applied %d merge(s), %d join reduction(s); epoch %d",
+			len(adv.Merges), len(adv.Joins), s.store.Current().Epoch())
+	})
 }

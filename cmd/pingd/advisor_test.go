@@ -98,7 +98,10 @@ func advisorFixtureServer(t *testing.T, cfg serverConfig) (*server, *httptest.Se
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	srv := newServer(hpart.NewStore(lay), cfg)
+	srv, err := newServer(hpart.NewStore(lay), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.handler(nil))
 	t.Cleanup(ts.Close)
 	return srv, ts, g
@@ -133,7 +136,7 @@ func getAdvisor(t *testing.T, method, u string) advisorResponse {
 // after which fresh queries answer in fewer steps with the same answers,
 // and the pre-epoch cursor still resumes to the exact result.
 func TestAdvisorEndpointOnlineLoop(t *testing.T) {
-	srv, ts, g := advisorFixtureServer(t, serverConfig{AdviseTop: 5, RowLimit: 5})
+	srv, ts, g := advisorFixtureServer(t, serverConfig{RowLimit: 5})
 
 	const hot = `SELECT * WHERE { ?x <p> ?y . ?y <q> ?z }`
 	oracle := engine.Naive(g, sparql.MustParse(hot)).Distinct().Card()

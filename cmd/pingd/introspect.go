@@ -174,7 +174,7 @@ func (s *server) handleSLO(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(sloResponse{Objectives: s.slo.Snapshot()})
+	_ = enc.Encode(sloResponse{Objectives: s.cfg.SLO.Snapshot()})
 }
 
 // tracesResponse is the /traces document.

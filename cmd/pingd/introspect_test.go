@@ -168,7 +168,7 @@ func TestExplainHandler(t *testing.T) {
 // step line is flushed to the client before the run continues, and that
 // the completed trace tree (query → pqa → slice) lands in /traces.
 func TestStreamingFlushWithTracing(t *testing.T) {
-	srv, ts, _ := newTestServer(t, serverConfig{Trace: true, TraceBuffer: 4})
+	srv, ts, _ := newTestServer(t, serverConfig{Trace: true})
 
 	const qs = `SELECT * WHERE { ?x <p0> ?y . ?y <p0> ?z }`
 	firstStep := make(chan struct{})

@@ -46,160 +46,140 @@ import (
 	"syscall"
 	"time"
 
+	"ping/internal/cursor"
 	"ping/internal/dfs"
 	"ping/internal/hpart"
 	"ping/internal/obs"
 	"ping/internal/obs/prof"
-	"ping/internal/obs/slo"
+	"ping/internal/ping"
 	"ping/internal/workload"
 )
 
+// daemonConfig is everything pingd's flags set: the server's tunables
+// plus the deployment settings only main uses.
+type daemonConfig struct {
+	serverConfig
+	Store, Addr, AdminAddr string
+	// Output files; empty turns each off.
+	SlowQueryLog, WideEvents, TraceExport, WorkloadOut, ProfileDir string
+
+	SlowQueryThreshold, ShutdownGrace, AdviseInterval time.Duration
+	AdviseApply                                       bool
+}
+
+// newFlagSet registers every pingd flag on a new FlagSet, bound to its
+// field of c.
+func newFlagSet(c *daemonConfig) *flag.FlagSet {
+	fs := flag.NewFlagSet("pingd", flag.ExitOnError)
+	fs.StringVar(&c.Store, "store", "", "store directory written by pingload (required)")
+	fs.StringVar(&c.Addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.AdminAddr, "admin-addr", "", "serve /metrics, /debug/*, /traces and /resources on this separate listener (empty = everything on -addr)")
+	fs.StringVar(&c.SlowQueryLog, "slow-query-log", "", "append NDJSON records for slow queries to this file (empty = off)")
+	fs.StringVar(&c.WideEvents, "wide-events", "", "append one wide NDJSON event per completed query lineage to this file (empty = off)")
+	fs.StringVar(&c.TraceExport, "trace-export", "", "append finished trace spans (NDJSON, one span per line) to this file (empty = off)")
+	fs.StringVar(&c.WorkloadOut, "workload-out", "", "write the workload snapshot (NDJSON) to this file on shutdown")
+	fs.StringVar(&c.ProfileDir, "profile-dir", "", "capture CPU+heap profiles continuously into this directory (empty = off)")
+
+	fs.IntVar(&c.MaxInflight, "max-inflight", defaultMaxInflight, "maximum concurrently executing queries")
+	fs.IntVar(&c.MaxQueue, "max-queue", 8, "maximum queries waiting for a slot (excess gets 429)")
+	fs.DurationVar(&c.QueryTimeout, "query-timeout", 60*time.Second, "per-query deadline, queue wait included (0 = none)")
+	fs.DurationVar(&c.AdmissionCPU, "admission-cpu", 0, "cost-based admission: shed queries once the measured CPU cost of inflight queries exceeds this budget (0 = off)")
+	fs.IntVar(&c.RowLimit, "rows", 20, "maximum bindings per step line when ?bindings=1 (0 disables)")
+	fs.DurationVar(&c.ShutdownGrace, "shutdown-grace", 5*time.Second, "how long in-flight queries may drain (pausing as cursors) after SIGTERM/SIGINT")
+	fs.Func("strategy", "slice order: level, product, largest or smallest (default level)", func(v string) (err error) {
+		c.Strategy, err = ping.ParseSliceStrategy(v)
+		return err
+	})
+	fs.Func("failure-policy", "storage failure handling: failfast or degrade (default failfast)", func(v string) (err error) {
+		c.FailurePolicy, err = ping.ParseFailurePolicy(v)
+		return err
+	})
+	fs.BoolVar(&c.UseBloomPruning, "bloom", false, "use sub-partition Bloom filters for pruning (store must be built with -blooms)")
+	fs.BoolVar(&c.Trace, "trace", false, "retain per-query trace trees, served at /traces")
+	fs.IntVar(&c.TraceSample, "trace-sample", 1, "trace 1 in N queries (head sampling; 1 = all); traceparent requests are always traced")
+	fs.DurationVar(&c.AdviseInterval, "advise-interval", 0, "re-run the layout advisor on the live workload this often (0 = off); advice is served at /advisor")
+	fs.BoolVar(&c.AdviseApply, "advise-apply", false, "apply advisor recommendations automatically as new epochs (with -advise-interval)")
+	fs.DurationVar(&c.SlowQueryThreshold, "slow-query-threshold", 500*time.Millisecond, "latency at or above which a query is logged as slow")
+	fs.DurationVar(&c.CursorTTL, "cursor-ttl", cursor.DefaultTTL, "how long a paused query stays resumable (bounds its snapshot lease)")
+	return fs
+}
+
+// resolve checks the daemon's own settings, then the server's.
+func (c *daemonConfig) resolve() error {
+	if c.Store == "" {
+		return errors.New("-store is required")
+	}
+	if err := rejectNegative(
+		flagValue{"shutdown-grace", int64(c.ShutdownGrace)},
+		flagValue{"advise-interval", int64(c.AdviseInterval)},
+		flagValue{"slow-query-threshold", int64(c.SlowQueryThreshold)},
+	); err != nil {
+		return err
+	}
+	return c.serverConfig.resolve()
+}
+
 func main() {
-	var (
-		store    = flag.String("store", "", "store directory written by pingload (required)")
-		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 4, "dataflow workers per query")
-		inflight = flag.Int("max-inflight", 4, "maximum concurrently executing queries")
-		queued   = flag.Int("max-queue", 8, "maximum queries waiting for a slot (excess gets 429)")
-		timeout  = flag.Duration("query-timeout", 60*time.Second, "per-query deadline, queue wait included (0 = none)")
-		rows     = flag.Int("rows", 20, "maximum bindings per step line when ?bindings=1 (0 disables)")
-		strategy = flag.String("strategy", "level", "slice order: level, product, largest, smallest")
-		policy   = flag.String("failure-policy", "failfast", "storage failure handling: failfast or degrade")
-		useBloom = flag.Bool("bloom", false, "use sub-partition Bloom filters for pruning (store must be built with -blooms)")
-		retries  = flag.Int("retries", 2, "extra replica-failover rounds per block read (-1 disables retries)")
-
-		slowLog       = flag.String("slow-query-log", "", "append NDJSON records for slow queries to this file (empty = off)")
-		slowThreshold = flag.Duration("slow-query-threshold", 500*time.Millisecond, "latency at or above which a query is logged as slow")
-		logMaxBytes   = flag.Int64("log-max-bytes", obs.DefaultLogMaxBytes, "size cap per log generation (slow-query log, wide events, trace export)")
-		logMaxFiles   = flag.Int("log-max-files", 3, "rotated generations kept per log")
-		wideEvents    = flag.String("wide-events", "", "append one wide NDJSON event per completed query lineage to this file (empty = off)")
-		eventQueue    = flag.Int("wide-events-queue", 1024, "bounded queue of the async wide-event sink (full = drop, never block)")
-		workloadMax   = flag.Int("workload-max", 512, "maximum distinct query fingerprints tracked by the workload profiler")
-		workloadOut   = flag.String("workload-out", "", "write the workload snapshot (NDJSON) to this file on shutdown")
-		trace         = flag.Bool("trace", false, "retain per-query trace trees, served at /traces")
-		traceSample   = flag.Int("trace-sample", 1, "trace 1 in N queries (head sampling; 1 = all); traceparent requests are always traced")
-		traceBuffer   = flag.Int("trace-buffer", 64, "how many trace trees the /traces ring retains")
-		traceExport   = flag.String("trace-export", "", "append finished trace spans (NDJSON, one span per line) to this file (empty = off)")
-
-		sloLatency    = flag.Duration("slo-latency", 2*time.Second, "latency SLO threshold: queries should finish within this")
-		sloLatencyPct = flag.Float64("slo-latency-target", 0.99, "fraction of queries that must meet -slo-latency")
-		sloFirstSteps = flag.Int("slo-first-answer-steps", 3, "first-answer SLO: first answer within this many slice steps")
-		sloFirstPct   = flag.Float64("slo-first-answer-target", 0.95, "fraction of answer-bearing queries that must meet -slo-first-answer-steps")
-		sloCoverage   = flag.Float64("slo-coverage", 0.5, "coverage SLO: budgeted queries should reach this coverage at budget exhaustion")
-		sloCovPct     = flag.Float64("slo-coverage-target", 0.95, "fraction of budgeted queries that must meet -slo-coverage")
-		sloAvailPct   = flag.Float64("slo-availability-target", 0.999, "fraction of queries that must complete without error or degradation")
-
-		adviseEvery = flag.Duration("advise-interval", 0, "re-run the layout advisor on the live workload this often (0 = off); advice is served at /advisor")
-		adviseTop   = flag.Int("advise-top", 5, "hot fingerprints the advisor optimizes for")
-		adviseApply = flag.Bool("advise-apply", false, "apply advisor recommendations automatically as new epochs (with -advise-interval)")
-
-		adminAddr     = flag.String("admin-addr", "", "serve /metrics, /debug/*, /traces and /resources on this separate listener (empty = everything on -addr)")
-		profileDir    = flag.String("profile-dir", "", "capture CPU+heap profiles continuously into this directory (empty = off)")
-		profileEvery  = flag.Duration("profile-interval", time.Minute, "continuous-profiling cadence (with -profile-dir)")
-		profileWindow = flag.Duration("profile-cpu-window", 5*time.Second, "CPU sampling window per capture (with -profile-dir)")
-		profileFiles  = flag.Int("profile-max-files", 3, "rotated profile generations kept per kind (bounds capture disk use)")
-		runtimeEvery  = flag.Duration("runtime-metrics-interval", 10*time.Second, "runtime/metrics polling cadence for the runtime_* gauges (0 = off)")
-		admissionCPU  = flag.Duration("admission-cpu", 0, "cost-based admission: shed queries once the measured CPU cost of inflight queries exceeds this budget (0 = off)")
-
-		grace       = flag.Duration("shutdown-grace", 5*time.Second, "how long in-flight queries may drain (pausing as cursors) after SIGTERM/SIGINT")
-		cursorTTL   = flag.Duration("cursor-ttl", 15*time.Minute, "how long a paused query stays resumable (bounds its snapshot lease)")
-		cursorIdle  = flag.Duration("cursor-idle-evict", time.Minute, "idle time before an in-memory cursor hibernates to disk")
-		cursorMax   = flag.Int("max-cursors", 1024, "maximum paused queries retained")
-		cursorSweep = flag.Duration("cursor-sweep", 30*time.Second, "interval of the cursor TTL/idle-eviction sweep")
-	)
-	flag.Parse()
-	if *store == "" {
-		flag.Usage()
+	var cfg daemonConfig
+	flags := newFlagSet(&cfg)
+	flags.Parse(os.Args[1:]) // ExitOnError: a malformed flag exits 2
+	if err := cfg.resolve(); err != nil {
+		fmt.Fprintf(os.Stderr, "pingd: %v\n", err)
+		flags.Usage()
 		os.Exit(2)
 	}
 
-	fs, err := dfs.OpenOnDisk(*store)
+	fs, err := dfs.OpenOnDisk(cfg.Store)
 	if err != nil {
 		fatal(err)
 	}
-	fs.SetRetryPolicy(*retries, 500*time.Microsecond, 50*time.Millisecond)
 	lay, err := hpart.Load(fs, nil)
 	if err != nil {
 		fatal(err)
 	}
+	cfg.Persist = fs
 
-	cfg := serverConfig{
-		Workers:         *workers,
-		MaxInflight:     *inflight,
-		MaxQueue:        *queued,
-		QueryTimeout:    *timeout,
-		RowLimit:        *rows,
-		UseBloomPruning: *useBloom,
-		Persist:         fs,
-		CursorTTL:       *cursorTTL,
-		CursorIdleEvict: *cursorIdle,
-		MaxCursors:      *cursorMax,
-		MaxFingerprints: *workloadMax,
-		Trace:           *trace,
-		TraceSample:     *traceSample,
-		TraceBuffer:     *traceBuffer,
-		AdviseTop:       *adviseTop,
-		AdmissionCPU:    *admissionCPU,
-	}
-	if *slowLog != "" {
-		// The slow-query log rotates at -log-max-bytes so a long-running
-		// daemon cannot grow it without bound.
-		f, err := obs.OpenRotatingFile(*slowLog, *logMaxBytes, *logMaxFiles)
+	// The output files rotate at obs.OpenRotatingFile's default size so
+	// a long-running daemon cannot grow them without bound.
+	open := func(path string) *obs.RotatingFile {
+		f, err := obs.OpenRotatingFile(path, 0, 0)
 		if err != nil {
 			fatal(err)
 		}
+		return f
+	}
+	if cfg.SlowQueryLog != "" {
+		f := open(cfg.SlowQueryLog)
 		defer f.Close()
-		cfg.SlowLog = workload.NewSlowLog(f, *slowThreshold)
+		cfg.SlowLog = workload.NewSlowLog(f, cfg.SlowQueryThreshold)
 	}
-	if *wideEvents != "" {
-		f, err := obs.OpenRotatingFile(*wideEvents, *logMaxBytes, *logMaxFiles)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Events = obs.NewEventLog(f, *eventQueue, nil)
+	if cfg.WideEvents != "" {
+		cfg.Events = obs.NewEventLog(open(cfg.WideEvents), 0, nil)
 		defer cfg.Events.Close()
 	}
-	if *traceExport != "" {
-		f, err := obs.OpenRotatingFile(*traceExport, *logMaxBytes, *logMaxFiles)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.SpanSink = obs.NewAsyncSink(f, 0)
+	if cfg.TraceExport != "" {
+		cfg.SpanSink = obs.NewAsyncSink(open(cfg.TraceExport), 0)
 		defer cfg.SpanSink.Close()
-	}
-	cfg.SLO = slo.NewEngine(nil,
-		slo.Latency("latency", *sloLatencyPct, *sloLatency),
-		slo.FirstAnswerSteps("first-answer", *sloFirstPct, *sloFirstSteps),
-		slo.CoverageAtBudget("coverage-at-budget", *sloCovPct, *sloCoverage),
-		slo.Availability("availability", *sloAvailPct),
-	)
-	if cfg.Strategy, err = parseStrategy(*strategy); err != nil {
-		fatal(err)
-	}
-	if cfg.FailurePolicy, err = parsePolicy(*policy); err != nil {
-		fatal(err)
 	}
 
 	logger := log.New(os.Stderr, "pingd: ", log.LstdFlags)
-	srv := newServer(hpart.NewStore(lay), cfg)
-	stopSweeper := srv.startSweeper(*cursorSweep)
-	stopAdvisor := srv.startAdvisor(*adviseEvery, *adviseApply, logger.Printf)
+	srv, err := newServer(hpart.NewStore(lay), cfg.serverConfig)
+	if err != nil {
+		fatal(err)
+	}
+	stopSweeper := every(cursor.SweepInterval, func() { srv.cursors.Sweep() })
+	stopAdvisor := srv.startAdvisor(cfg.AdviseInterval, cfg.AdviseApply, logger.Printf)
 
 	// Continuous profiling & runtime metrics: the poller exports
 	// runtime_* gauges; the capturer writes CPU+heap profiles on a
 	// cadence into bounded rotating files and feeds label-attributed CPU
 	// back into the workload profiler (served at /resources, consulted
 	// by -admission-cpu).
-	if *runtimeEvery > 0 {
-		poller := prof.NewPoller(nil, *runtimeEvery).Start()
-		defer poller.Stop()
-	}
-	if *profileDir != "" {
+	poller := prof.NewPoller(nil, 0).Start()
+	defer poller.Stop()
+	if cfg.ProfileDir != "" {
 		capt, err := prof.StartCapture(prof.CaptureConfig{
-			Dir:       *profileDir,
-			Interval:  *profileEvery,
-			CPUWindow: *profileWindow,
-			MaxFiles:  *profileFiles,
+			Dir: cfg.ProfileDir,
 			OnCPUProfile: func(data []byte) {
 				p, err := prof.ParseProfile(data)
 				if err != nil {
@@ -215,19 +195,18 @@ func main() {
 			fatal(err)
 		}
 		defer capt.Close()
-		logger.Printf("continuous profiling into %s (every %v, %v CPU window, %d generations)",
-			*profileDir, *profileEvery, *profileWindow, *profileFiles)
+		logger.Printf("continuous profiling into %s", cfg.ProfileDir)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.handler(logger.Printf)}
+	httpSrv := &http.Server{Addr: cfg.Addr, Handler: srv.handler(logger.Printf)}
 	var adminSrv *http.Server
-	if *adminAddr != "" {
+	if cfg.AdminAddr != "" {
 		// Production posture: the query surface stays on -addr; metrics,
 		// pprof, traces and the resource ledger move behind -admin-addr
 		// (typically loopback or an internal interface).
 		public, admin := srv.splitHandlers(logger.Printf)
 		httpSrv.Handler = public
-		adminSrv = &http.Server{Addr: *adminAddr, Handler: admin}
+		adminSrv = &http.Server{Addr: cfg.AdminAddr, Handler: admin}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -241,13 +220,13 @@ func main() {
 				logger.Printf("admin listener: %v", err)
 			}
 		}()
-		logger.Printf("admin surface (metrics, pprof, traces, resources) on %s", *adminAddr)
+		logger.Printf("admin surface (metrics, pprof, traces, resources) on %s", cfg.AdminAddr)
 	}
 
 	fmt.Printf("serving %d triples (%d levels, epoch %d) on %s\n",
-		lay.TotalTriples(), lay.NumLevels, srv.store.Epoch(), *addr)
+		lay.TotalTriples(), lay.NumLevels, srv.store.Epoch(), cfg.Addr)
 	fmt.Printf("try: curl '%s/query?q=SELECT...'   update: curl -XPOST --data-binary @delta.nt '%s/update'\n",
-		*addr, *addr)
+		cfg.Addr, cfg.Addr)
 
 	select {
 	case err := <-errc:
@@ -256,11 +235,11 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	logger.Printf("signal received; draining for up to %v", *grace)
+	logger.Printf("signal received; draining for up to %v", cfg.ShutdownGrace)
 	// In-flight queries pause at their next step boundary and park as
 	// cursors, so the drain completes quickly and nothing is lost.
 	srv.beginDrain()
-	shCtx, cancel := context.WithTimeout(context.Background(), *grace)
+	shCtx, cancel := context.WithTimeout(context.Background(), cfg.ShutdownGrace)
 	defer cancel()
 	if err := httpSrv.Shutdown(shCtx); err != nil {
 		logger.Printf("forced shutdown: %v", err)
@@ -281,11 +260,11 @@ func main() {
 	} else if n > 0 {
 		logger.Printf("checkpointed %d paused queries to disk", n)
 	}
-	if *workloadOut != "" {
-		if err := srv.profiler.SaveFile(*workloadOut); err != nil {
+	if cfg.WorkloadOut != "" {
+		if err := srv.profiler.SaveFile(cfg.WorkloadOut); err != nil {
 			logger.Printf("workload snapshot: %v", err)
 		} else {
-			logger.Printf("workload snapshot saved to %s", *workloadOut)
+			logger.Printf("workload snapshot saved to %s", cfg.WorkloadOut)
 		}
 	}
 	logger.Printf("shut down cleanly")

@@ -352,9 +352,12 @@ func TestDrainCheckpointRestart(t *testing.T) {
 	const qs = `SELECT * WHERE { ?x <p0> ?y . ?y <p0> ?z }`
 	oracle := engine.Naive(g, sparql.MustParse(qs)).Distinct().Card()
 
-	srv := newServer(hpart.NewStore(lay), serverConfig{
+	srv, err := newServer(hpart.NewStore(lay), serverConfig{
 		MaxInflight: 2, Persist: fs, Metrics: obs.NewRegistry(),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.handler(nil))
 
 	firstStep := make(chan struct{})
@@ -405,9 +408,12 @@ func TestDrainCheckpointRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := newServer(hpart.NewStore(lay2), serverConfig{
+	srv2, err := newServer(hpart.NewStore(lay2), serverConfig{
 		MaxInflight: 2, Persist: fs2, Metrics: obs.NewRegistry(),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts2 := httptest.NewServer(srv2.handler(nil))
 	defer ts2.Close()
 

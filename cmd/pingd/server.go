@@ -24,12 +24,21 @@ import (
 	"ping/internal/workload"
 )
 
-// serverConfig carries the daemon's tunables.
+// workers is the dataflow pool size of each query.
+const workers = 4
+
+// defaultMaxInflight is the execution-slot count a zero MaxInflight
+// (and the -max-inflight flag) means.
+const defaultMaxInflight = 4
+
+// serverConfig carries the daemon's tunables. main binds each flag-set
+// field to its flag in newFlagSet; every value pingd does not expose is
+// the default of the package it configures. resolve applies the
+// defaults; a zero keeps the meaning documented on its field.
 type serverConfig struct {
-	// Workers is the dataflow pool size of each query.
-	Workers int
-	// MaxInflight bounds concurrently executing queries; MaxQueue bounds
-	// how many more may wait for a slot. Beyond that /query returns 429.
+	// MaxInflight bounds concurrently executing queries (0: 4); MaxQueue
+	// bounds how many more may wait for a slot. Beyond that /query
+	// returns 429.
 	MaxInflight int
 	MaxQueue    int
 	// QueryTimeout is the per-query deadline, queue wait included
@@ -45,33 +54,26 @@ type serverConfig struct {
 	FailurePolicy   ping.FailurePolicy
 	UseBloomPruning bool
 	// Persist, when non-nil, is the on-disk file system whose manifest
-	// (and the dictionary) is saved after each successful update.
+	// (and the dictionary) is saved after each successful update, and
+	// the durable layer hibernated cursors are written to. Nil keeps
+	// cursors memory-only.
 	Persist *dfs.FS
-	// CursorFS is the durable layer for hibernated cursors (default:
-	// Persist). Nil with nil Persist keeps cursors memory-only.
-	CursorFS *dfs.FS
 	// CursorTTL bounds how long a paused query stays resumable (and how
-	// long its epoch lease pins the snapshot); CursorIdleEvict is the
-	// in-memory idle time before a cursor hibernates to CursorFS;
-	// MaxCursors caps the cursor table. Zero = cursor.Config defaults.
-	CursorTTL       time.Duration
-	CursorIdleEvict time.Duration
-	MaxCursors      int
+	// long its epoch lease pins the snapshot; 0: the cursor.Config
+	// default).
+	CursorTTL time.Duration
 	// Metrics receives the daemon's and the processors' series
 	// (nil: obs.Default).
 	Metrics *obs.Registry
 	// SlowLog, when non-nil, receives a structured NDJSON record for
 	// every query slower than its threshold.
 	SlowLog *workload.SlowLog
-	// MaxFingerprints bounds the workload profiler store (<=0: default).
-	MaxFingerprints int
 	// Trace retains per-query trace trees in a bounded ring served at
-	// /traces. TraceSample keeps 1 in N queries (<=1: all); TraceBuffer
-	// is the ring capacity (<=0: 64). A request carrying a valid
-	// traceparent header is always traced, regardless of sampling.
+	// /traces. TraceSample keeps 1 in N queries (0 or 1: all). A request
+	// carrying a valid traceparent header is always traced, regardless
+	// of sampling.
 	Trace       bool
 	TraceSample int
-	TraceBuffer int
 	// Events, when non-nil, receives one wide query event per completed
 	// lineage (the canonical per-query telemetry record).
 	Events *obs.EventLog
@@ -79,17 +81,59 @@ type serverConfig struct {
 	// flattened span NDJSON (one line per span).
 	SpanSink *obs.AsyncSink
 	// SLO evaluates the daemon's service-level objectives over the
-	// lineage stream (nil: an engine with the default objectives).
+	// lineage stream (nil: an engine with defaultObjectives).
 	SLO *slo.Engine
-	// AdviseTop is how many hot fingerprints the online layout advisor
-	// optimizes for (<=0: the advisor default).
-	AdviseTop int
 	// AdmissionCPU, when positive, turns on cost-based admission: the
 	// estimated CPU cost of all inflight queries (per-fingerprint
 	// measurement from the resource ledger and captured profiles) may
 	// not exceed this many CPU-seconds; excess queries get 429. Unknown
 	// fingerprints always admit — shedding is by *measured* cost.
 	AdmissionCPU time.Duration
+}
+
+// resolve rejects negative durations and counts, naming the flag that
+// sets each, and fills in the defaults of the fields left zero. It is
+// idempotent.
+func (c *serverConfig) resolve() error {
+	if err := rejectNegative(
+		flagValue{"max-inflight", int64(c.MaxInflight)},
+		flagValue{"max-queue", int64(c.MaxQueue)},
+		flagValue{"query-timeout", int64(c.QueryTimeout)},
+		flagValue{"rows", int64(c.RowLimit)},
+		flagValue{"cursor-ttl", int64(c.CursorTTL)},
+		flagValue{"trace-sample", int64(c.TraceSample)},
+		flagValue{"admission-cpu", int64(c.AdmissionCPU)},
+	); err != nil {
+		return err
+	}
+	if c.MaxInflight == 0 {
+		c.MaxInflight = defaultMaxInflight
+	}
+	if c.Metrics == nil {
+		c.Metrics = obs.Default
+	}
+	if c.SLO == nil {
+		c.SLO = slo.NewEngine(c.Metrics, defaultObjectives()...)
+	}
+	return nil
+}
+
+// flagValue is a duration (in nanoseconds) or count and the flag that
+// sets it.
+type flagValue struct {
+	flag string
+	v    int64
+}
+
+// rejectNegative returns an error naming the first flag whose value is
+// below zero.
+func rejectNegative(vals ...flagValue) error {
+	for _, f := range vals {
+		if f.v < 0 {
+			return fmt.Errorf("-%s must not be negative", f.flag)
+		}
+	}
+	return nil
 }
 
 // defaultObjectives are the SLOs pingd evaluates when the caller does
@@ -123,7 +167,6 @@ type server struct {
 	maintMu sync.Mutex
 	maint   *hpart.Maintainer
 
-	reg      *obs.Registry
 	rejected *obs.Counter
 	updates  *obs.Counter
 	decodes  *obs.Counter
@@ -134,12 +177,8 @@ type server struct {
 	costRejected *obs.Counter
 
 	profiler *workload.Profiler
-	slow     *workload.SlowLog
 	sampler  *obs.Sampler
 	traces   *obs.SpanBuffer
-	events   *obs.EventLog
-	spans    *obs.AsyncSink
-	slo      *slo.Engine
 
 	// adviser caches the latest layout recommendation served at
 	// /advisor and refreshed by the -advise-interval loop.
@@ -165,67 +204,46 @@ func (s *server) setStepHook(fn func()) {
 	s.stepHook.Store(&fn)
 }
 
-func newServer(store *hpart.Store, cfg serverConfig) *server {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 4
-	}
-	if cfg.MaxQueue < 0 {
-		cfg.MaxQueue = 0
+// newServer builds the daemon over store; cfg is resolved first, so a
+// negative value is an error.
+func newServer(store *hpart.Store, cfg serverConfig) (*server, error) {
+	if err := cfg.resolve(); err != nil {
+		return nil, err
 	}
 	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.Default
-	}
 	reg.Describe("pingd_rejected_total", "queries rejected by admission control (HTTP 429)")
 	reg.Describe("pingd_cost_rejected_total", "queries shed by cost-based admission (measured CPU over budget)")
 	reg.Describe("pingd_updates_total", "update batches applied and published as new epochs")
 	reg.Describe("ping_dict_decodes_total", "integer IDs decoded to terms at NDJSON emission")
-	cursorFS := cfg.CursorFS
-	if cursorFS == nil {
-		cursorFS = cfg.Persist
-	}
 	var persist func() error
-	if cursorFS != nil && cursorFS == cfg.Persist {
+	if cfg.Persist != nil {
 		// Hibernated records only survive a restart if the manifest
 		// knows about them.
-		persist = cursorFS.SaveManifest
+		persist = cfg.Persist.SaveManifest
 	}
 	s := &server{
 		store:        store,
 		cfg:          cfg,
 		sem:          make(chan struct{}, cfg.MaxInflight),
 		queue:        make(chan struct{}, cfg.MaxQueue),
-		reg:          reg,
 		rejected:     reg.Counter("pingd_rejected_total", nil),
 		costRejected: reg.Counter("pingd_cost_rejected_total", nil),
 		updates:      reg.Counter("pingd_updates_total", nil),
 		decodes:      reg.Counter("ping_dict_decodes_total", nil),
-		profiler:     workload.NewProfiler(workload.Options{Metrics: reg, MaxFingerprints: cfg.MaxFingerprints}),
-		slow:         cfg.SlowLog,
-		events:       cfg.Events,
-		spans:        cfg.SpanSink,
-		slo:          cfg.SLO,
+		profiler:     workload.NewProfiler(workload.Options{Metrics: reg}),
 		cursors: cursor.New(cursor.Config{
-			FS:         cursorFS,
-			TTL:        cfg.CursorTTL,
-			IdleEvict:  cfg.CursorIdleEvict,
-			MaxCursors: cfg.MaxCursors,
-			Store:      store,
-			Metrics:    reg,
-			Persist:    persist,
+			FS:      cfg.Persist,
+			TTL:     cfg.CursorTTL,
+			Store:   store,
+			Metrics: reg,
+			Persist: persist,
 		}),
 	}
 	if cfg.Trace {
 		s.sampler = obs.NewSampler(cfg.TraceSample)
-		s.traces = obs.NewSpanBuffer(cfg.TraceBuffer)
+		s.traces = obs.NewSpanBuffer(0)
 	}
-	if s.slo == nil {
-		s.slo = slo.NewEngine(reg, defaultObjectives()...)
-	}
-	return s
+	return s, nil
 }
 
 // beginDrain makes every in-flight query pause at its next step
@@ -233,26 +251,27 @@ func newServer(store *hpart.Store, cfg serverConfig) *server {
 // server drains.
 func (s *server) beginDrain() { s.draining.Store(true) }
 
-// startSweeper runs the cursor idle-eviction/TTL sweep on a ticker;
-// the returned function stops it.
-func (s *server) startSweeper(interval time.Duration) func() {
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
-	done := make(chan struct{})
+// every runs fn each interval on its own goroutine; the returned
+// function stops it and waits for a running fn to finish.
+func every(interval time.Duration, fn func()) (stop func()) {
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(exited)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
 			select {
 			case <-t.C:
-				s.cursors.Sweep()
+				fn()
 			case <-done:
 				return
 			}
 		}
 	}()
-	return func() { close(done) }
+	return func() {
+		close(done)
+		<-exited
+	}
 }
 
 // route is one mounted endpoint with the Content-Type its successful
@@ -295,9 +314,9 @@ func (s *server) routes() []route {
 func (s *server) handler(logf func(format string, args ...any)) http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.routes() {
-		mux.Handle(rt.path, obs.Instrument(s.reg, rt.path, logf, rt.h))
+		mux.Handle(rt.path, obs.Instrument(s.cfg.Metrics, rt.path, logf, rt.h))
 	}
-	mux.Handle("/", obs.Handler(s.reg))
+	mux.Handle("/", obs.Handler(s.cfg.Metrics))
 	return mux
 }
 
@@ -315,9 +334,9 @@ func (s *server) splitHandlers(logf func(format string, args ...any)) (public, a
 		if rt.admin {
 			target = adminMux
 		}
-		target.Handle(rt.path, obs.Instrument(s.reg, rt.path, logf, rt.h))
+		target.Handle(rt.path, obs.Instrument(s.cfg.Metrics, rt.path, logf, rt.h))
 	}
-	adminMux.Handle("/", obs.Handler(s.reg))
+	adminMux.Handle("/", obs.Handler(s.cfg.Metrics))
 	return mainMux, adminMux
 }
 
@@ -737,12 +756,12 @@ func (s *server) maybeTrace(ctx context.Context, name, fp, text string) (context
 // exportTrace writes a finished trace to the span sink, one flattened
 // span per NDJSON line.
 func (s *server) exportTrace(root *obs.Span) {
-	if s.spans == nil {
+	if s.cfg.SpanSink == nil {
 		return
 	}
 	for _, rec := range obs.Flatten(root) {
 		if line, err := json.Marshal(rec); err == nil {
-			s.spans.Emit(line)
+			s.cfg.SpanSink.Emit(line)
 		}
 	}
 }
@@ -752,10 +771,10 @@ func (s *server) exportTrace(root *obs.Span) {
 // workload profiler, the slow-query log and the SLO engine, exactly as
 // an offline replay of the event stream derives them.
 func (s *server) recordLineage(ev obs.WideEvent) {
-	s.events.Emit(ev)
+	s.cfg.Events.Emit(ev)
 	s.profiler.ObserveFingerprint(ev.Fingerprint, ev.Canonical, ev.Shape, workload.ObservationFromEvent(ev))
-	s.slow.Observe(workload.SlowQueryFromEvent(ev), ev.Latency())
-	s.slo.Observe(slo.EventFromWide(ev))
+	s.cfg.SlowLog.Observe(workload.SlowQueryFromEvent(ev), ev.Latency())
+	s.cfg.SLO.Observe(slo.EventFromWide(ev))
 }
 
 // handleQuery streams a progressive query: one JSON object per PQA step
@@ -992,7 +1011,7 @@ func (s *server) runSegment(w http.ResponseWriter, r *http.Request, q *sparql.Qu
 // server's current defaults.
 func (s *server) newProcessor(strategy ping.SliceStrategy, policy ping.FailurePolicy) *ping.Processor {
 	return ping.NewProcessorStore(s.store, ping.Options{
-		Context:         dataflow.NewContext(s.cfg.Workers),
+		Context:         dataflow.NewContext(workers),
 		Strategy:        strategy,
 		FailurePolicy:   policy,
 		UseBloomPruning: s.cfg.UseBloomPruning,
@@ -1127,7 +1146,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	dv := cur.DictView()
 	cacheN, cacheBytes, cacheRaw := cur.SubPartCacheStats()
 	sloStates := make(map[string]string)
-	for _, o := range s.slo.Snapshot() {
+	for _, o := range s.cfg.SLO.Snapshot() {
 		sloStates[o.Name] = o.State
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -1147,7 +1166,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Draining:      s.draining.Load(),
 		Cursors:       s.cursors.Stats(),
 		SLOStates:     sloStates,
-		EventsDropped: s.events.Dropped(),
+		EventsDropped: s.cfg.Events.Dropped(),
 		Dict: dictStats{
 			Entries:       dv.Len(),
 			ResidentBytes: cur.Dict.ResidentBytes(),
@@ -1158,32 +1177,4 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Decodes:       s.decodes.Value(),
 		},
 	})
-}
-
-// parseStrategy maps the CLI strategy names used across the ping tools.
-func parseStrategy(name string) (ping.SliceStrategy, error) {
-	switch name {
-	case "level":
-		return ping.LevelCumulative, nil
-	case "product":
-		return ping.ProductOrder, nil
-	case "largest":
-		return ping.LargestFirst, nil
-	case "smallest":
-		return ping.SmallestFirst, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", name)
-	}
-}
-
-// parsePolicy maps the CLI failure-policy names.
-func parsePolicy(name string) (ping.FailurePolicy, error) {
-	switch name {
-	case "failfast":
-		return ping.FailFast, nil
-	case "degrade":
-		return ping.Degrade, nil
-	default:
-		return 0, fmt.Errorf("unknown failure policy %q (want failfast or degrade)", name)
-	}
 }

@@ -53,7 +53,10 @@ func newTestServer(t *testing.T, cfg serverConfig) (*server, *httptest.Server, *
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	srv := newServer(hpart.NewStore(lay), cfg)
+	srv, err := newServer(hpart.NewStore(lay), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.handler(nil))
 	t.Cleanup(ts.Close)
 	return srv, ts, g

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	"ping/internal/dataflow"
 	"ping/internal/dfs"
 	"ping/internal/hpart"
 	"ping/internal/rdf"
@@ -21,13 +20,11 @@ import (
 
 func main() {
 	var (
-		in          = flag.String("in", "", "input N-Triples file (required)")
-		store       = flag.String("store", "", "output store directory (required)")
-		datanodes   = flag.Int("datanodes", 4, "simulated DFS data nodes")
-		repl        = flag.Int("replication", 1, "DFS block replication factor")
-		distributed = flag.Bool("distributed", false, "run Algorithm 1 as a dataflow job (the paper's Spark mode)")
-		workers     = flag.Int("workers", 4, "dataflow workers for -distributed")
-		blooms      = flag.Bool("blooms", false, "also build per-sub-partition Bloom filters (§6.2 extension)")
+		in        = flag.String("in", "", "input N-Triples file (required)")
+		store     = flag.String("store", "", "output store directory (required)")
+		datanodes = flag.Int("datanodes", 4, "simulated DFS data nodes")
+		repl      = flag.Int("replication", 1, "DFS block replication factor")
+		blooms    = flag.Bool("blooms", false, "also build per-sub-partition Bloom filters (§6.2 extension)")
 	)
 	flag.Parse()
 	if *in == "" || *store == "" {
@@ -52,12 +49,7 @@ func main() {
 		fatal(err)
 	}
 	opts := hpart.Options{FS: fs, BuildBlooms: *blooms}
-	var lay *hpart.Layout
-	if *distributed {
-		lay, err = hpart.PartitionDistributed(g, dataflow.NewContext(*workers), opts)
-	} else {
-		lay, err = hpart.Partition(g, opts)
-	}
+	lay, err := hpart.Partition(g, opts)
 	if err != nil {
 		fatal(err)
 	}

@@ -50,7 +50,6 @@ func main() {
 		analyze  = flag.Bool("analyze", false, "run the query and print the plan annotated with actual rows, cache hits and timings")
 		planJSON = flag.Bool("json", false, "with -explain/-analyze, emit the plan as JSON instead of text")
 		policy   = flag.String("failure-policy", "failfast", "storage failure handling: failfast (abort on unreadable sub-partition) or degrade (skip it; answers stay a sound subset)")
-		retries  = flag.Int("retries", 2, "extra replica-failover rounds per block read (-1 disables retries)")
 		timeout  = flag.Duration("timeout", 0, "overall query deadline, e.g. 30s (0 = none)")
 
 		budgetSteps    = flag.Int("budget-steps", 0, "run at most this many PQA steps, then pause with a cursor (0 = no bound)")
@@ -122,32 +121,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fs.SetRetryPolicy(*retries, 500*time.Microsecond, 50*time.Millisecond)
 	lay, err := hpart.Load(fs, nil)
 	if err != nil {
 		fatal(err)
 	}
 
 	opts := ping.Options{Context: dataflow.NewContext(*workers), UseBloomPruning: *useBloom}
-	switch *strategy {
-	case "level":
-		opts.Strategy = ping.LevelCumulative
-	case "product":
-		opts.Strategy = ping.ProductOrder
-	case "largest":
-		opts.Strategy = ping.LargestFirst
-	case "smallest":
-		opts.Strategy = ping.SmallestFirst
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+	if opts.Strategy, err = ping.ParseSliceStrategy(*strategy); err != nil {
+		fatal(err)
 	}
-	switch *policy {
-	case "failfast":
-		opts.FailurePolicy = ping.FailFast
-	case "degrade":
-		opts.FailurePolicy = ping.Degrade
-	default:
-		fatal(fmt.Errorf("unknown failure policy %q (want failfast or degrade)", *policy))
+	if opts.FailurePolicy, err = ping.ParseFailurePolicy(*policy); err != nil {
+		fatal(err)
 	}
 	proc := ping.NewProcessor(lay, opts)
 

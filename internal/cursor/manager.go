@@ -27,6 +27,13 @@ var (
 	ErrTooMany = errors.New("cursor: too many open cursors")
 )
 
+// DefaultTTL is a lineage's lifetime when Config.TTL is zero.
+const DefaultTTL = 15 * time.Minute
+
+// SweepInterval is how often a Manager's owner should call Sweep: half
+// the default IdleEvict, so an idle cursor hibernates within 1.5× of it.
+const SweepInterval = 30 * time.Second
+
 // Config parameterizes a Manager. The zero value of every field has a
 // usable default except FS/Store, which are optional capabilities.
 type Config struct {
@@ -37,8 +44,9 @@ type Config struct {
 	// Dir is the FS directory for hibernated records (default "cursors").
 	Dir string
 	// TTL bounds a lineage's total idle lifetime and its epoch lease
-	// (default 15m). After TTL with no resume the cursor is dropped and
-	// its lease released — an abandoned cursor can never block GC.
+	// (default DefaultTTL). After TTL with no resume the cursor is
+	// dropped and its lease released — an abandoned cursor can never
+	// block GC.
 	TTL time.Duration
 	// IdleEvict is the in-memory idle time before a cursor hibernates
 	// to FS (default 1m; ignored without FS).
@@ -94,7 +102,7 @@ func New(cfg Config) *Manager {
 		cfg.Dir = "cursors"
 	}
 	if cfg.TTL <= 0 {
-		cfg.TTL = 15 * time.Minute
+		cfg.TTL = DefaultTTL
 	}
 	if cfg.IdleEvict <= 0 {
 		cfg.IdleEvict = time.Minute

@@ -296,26 +296,6 @@ func (f *FS) WrapStore(wrap func(BlockStore) BlockStore) {
 	f.store = wrap(f.store)
 }
 
-// SetRetryPolicy overrides the read retry policy of an existing FS (the
-// CLI uses it after reopening a store whose manifest carries the build-
-// time configuration). maxRetries < 0 disables retries; base < 0 retries
-// without sleeping.
-func (f *FS) SetRetryPolicy(maxRetries int, base, max time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.cfg.MaxRetries = maxRetries
-	if f.cfg.MaxRetries < 0 {
-		f.cfg.MaxRetries = 0
-	}
-	f.cfg.RetryBase = base
-	if f.cfg.RetryBase < 0 {
-		f.cfg.RetryBase = 0
-	}
-	if max > 0 {
-		f.cfg.RetryMax = max
-	}
-}
-
 func cleanPath(p string) string {
 	return strings.TrimPrefix(filepath.ToSlash(filepath.Clean("/"+p)), "/")
 }

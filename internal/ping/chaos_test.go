@@ -215,9 +215,14 @@ func TestChaosFullyDegradedRunIsEmptyButSound(t *testing.T) {
 // TestPQACtxCancellation: a cancelled context aborts the run with
 // ctx.Err() even while storage is stuck retrying.
 func TestPQACtxCancellation(t *testing.T) {
-	lay, fs, _ := chaosLayout(t, 4, 1)
 	// Make reads hang in long retry backoffs.
-	fs.SetRetryPolicy(1000, time.Hour, time.Hour)
+	cfg := chaosConfig(1)
+	cfg.MaxRetries, cfg.RetryBase, cfg.RetryMax = 1000, time.Hour, time.Hour
+	fs := dfs.New(cfg)
+	lay, err := hpart.Partition(nestedGraph(4, 50, 5), hpart.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
 	in := faults.New(faults.Plan{})
 	in.Attach(fs)
 	for n := 0; n < 4; n++ {

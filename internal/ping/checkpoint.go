@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"time"
 
-	"ping/internal/dataflow"
 	"ping/internal/engine"
 	"ping/internal/hpart"
 	"ping/internal/obs"
@@ -551,17 +550,9 @@ func (st *evalState) restore(ctx context.Context, cp *Checkpoint) error {
 
 	pathGroups := make([][]engine.PropGroup, len(st.q.Paths))
 	if len(toRead) > 0 {
-		results := dataflow.Map(
-			dataflow.Parallelize(st.p.ctx, toRead, 0),
-			func(k hpart.SubPartKey) loadResult {
-				block, hit, err := st.lay.ReadSubPartitionCached(ctx, k)
-				return loadResult{block: block, hit: hit, err: err}
-			}).Collect()
-		if err := ctx.Err(); err != nil {
+		results, err := st.readAll(ctx, toRead)
+		if err != nil {
 			return err
-		}
-		if len(results) != len(toRead) {
-			return context.Canceled
 		}
 		for i, r := range results {
 			k := toRead[i]

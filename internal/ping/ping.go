@@ -70,6 +70,23 @@ func (s SliceStrategy) String() string {
 	}
 }
 
+// ParseSliceStrategy maps the command-line strategy names shared by the
+// ping tools (level, product, largest, smallest) to a SliceStrategy.
+func ParseSliceStrategy(name string) (SliceStrategy, error) {
+	switch name {
+	case "level":
+		return LevelCumulative, nil
+	case "product":
+		return ProductOrder, nil
+	case "largest":
+		return LargestFirst, nil
+	case "smallest":
+		return SmallestFirst, nil
+	default:
+		return 0, fmt.Errorf("unknown strategy %q", name)
+	}
+}
+
 // FailurePolicy selects how query answering reacts to a sub-partition
 // read that still fails after all dfs retries and replica failover.
 type FailurePolicy int
@@ -95,6 +112,19 @@ func (p FailurePolicy) String() string {
 	}
 }
 
+// ParseFailurePolicy maps the command-line failure-policy names
+// (failfast, degrade) to a FailurePolicy.
+func ParseFailurePolicy(name string) (FailurePolicy, error) {
+	switch name {
+	case "failfast":
+		return FailFast, nil
+	case "degrade":
+		return Degrade, nil
+	default:
+		return 0, fmt.Errorf("unknown failure policy %q (want failfast or degrade)", name)
+	}
+}
+
 // Options configures a Processor.
 type Options struct {
 	// Context supplies the dataflow executor (nil: single worker).
@@ -115,12 +145,6 @@ type Options struct {
 	// layout built with hpart.Options.BuildBlooms (or
 	// Layout.BuildBlooms); silently inactive otherwise.
 	UseBloomPruning bool
-	// DisableJoinReduction ignores the layout's workload-advised join
-	// reductions (hpart.JoinReduction) when computing pattern slices.
-	// Reductions are precomputed over the full data at advise time, so
-	// leaving them on never changes answers — this switch exists for
-	// ablation and debugging.
-	DisableJoinReduction bool
 	// FailurePolicy selects FailFast (zero value) or Degrade handling of
 	// unreadable sub-partitions.
 	FailurePolicy FailurePolicy
@@ -409,7 +433,7 @@ func (p *Processor) querySlices(lay *hpart.Layout, q *sparql.Query) [][]hpart.Su
 // still contain every answer, and PQA/EQA, EXPLAIN, and safety all go
 // through this one hook and stay mutually consistent.
 func (p *Processor) applyJoinReductions(lay *hpart.Layout, q *sparql.Query, hl [][]hpart.SubPartKey) {
-	if p.opts.DisableJoinReduction || len(lay.JoinReductions()) == 0 || len(q.Patterns) < 2 {
+	if len(lay.JoinReductions()) == 0 || len(q.Patterns) < 2 {
 		return
 	}
 	dv := lay.DictView()

@@ -419,3 +419,26 @@ func TestVariablePredicateQuery(t *testing.T) {
 		t.Errorf("P38952 has %d outgoing edges in results, want 4", res.Final.Card())
 	}
 }
+
+// TestParseNames pins the command-line names every ping tool accepts
+// and the errors for anything else.
+func TestParseNames(t *testing.T) {
+	for name, want := range map[string]SliceStrategy{
+		"level": LevelCumulative, "product": ProductOrder, "largest": LargestFirst, "smallest": SmallestFirst,
+	} {
+		if got, err := ParseSliceStrategy(name); err != nil || got != want {
+			t.Errorf("ParseSliceStrategy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for name, want := range map[string]FailurePolicy{"failfast": FailFast, "degrade": Degrade} {
+		if got, err := ParseFailurePolicy(name); err != nil || got != want {
+			t.Errorf("ParseFailurePolicy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseSliceStrategy("level-cumulative"); err == nil || err.Error() != `unknown strategy "level-cumulative"` {
+		t.Errorf("ParseSliceStrategy of a String() name: err = %v", err)
+	}
+	if _, err := ParseFailurePolicy("fail-fast"); err == nil || err.Error() != `unknown failure policy "fail-fast" (want failfast or degrade)` {
+		t.Errorf("ParseFailurePolicy of a String() name: err = %v", err)
+	}
+}

@@ -310,7 +310,7 @@ func newEvalState(p *Processor, lay *hpart.Layout, q *sparql.Query, hl, hlPaths 
 	}, nil
 }
 
-// loadResult is the outcome of one sub-partition read issued by load.
+// loadResult is the outcome of one sub-partition read issued by readAll.
 type loadResult struct {
 	block rdf.PairBlock
 	hit   bool
@@ -352,21 +352,10 @@ func (st *evalState) load(ctx context.Context, keys []hpart.SubPartKey) error {
 		return nil
 	}
 
-	results := dataflow.Map(
-		dataflow.Parallelize(st.p.ctx, toLoad, 0),
-		func(k hpart.SubPartKey) loadResult {
-			block, hit, err := st.lay.ReadSubPartitionCached(ctx, k)
-			return loadResult{block: block, hit: hit, err: err}
-		}).Collect()
-	// A cancellation mid-stage leaves unprocessed partitions behind;
-	// abort rather than fold in a partial batch.
-	if err := ctx.Err(); err != nil {
+	results, err := st.readAll(ctx, toLoad)
+	if err != nil {
 		return err
 	}
-	if len(results) != len(toLoad) {
-		return context.Canceled
-	}
-
 	for i, r := range results {
 		k := toLoad[i]
 		if r.err != nil {
@@ -395,6 +384,28 @@ func (st *evalState) load(ctx context.Context, keys []hpart.SubPartKey) error {
 	st.p.met.cacheHits.Add(st.cacheHitsStep)
 	st.p.met.cacheMisses.Add(st.cacheMissesStep)
 	return nil
+}
+
+// readAll reads keys in parallel over the processor's dataflow worker
+// pool through the layout's decoded-sub-partition cache, returning one
+// result per key in key order. A cancellation mid-stage leaves
+// unprocessed keys behind, so it fails the whole batch rather than hand
+// back a partial one; per-key read errors are left to the caller's
+// failure policy.
+func (st *evalState) readAll(ctx context.Context, keys []hpart.SubPartKey) ([]loadResult, error) {
+	results := dataflow.Map(
+		dataflow.Parallelize(st.p.ctx, keys, 0),
+		func(k hpart.SubPartKey) loadResult {
+			block, hit, err := st.lay.ReadSubPartitionCached(ctx, k)
+			return loadResult{block: block, hit: hit, err: err}
+		}).Collect()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if len(results) != len(keys) {
+		return nil, context.Canceled
+	}
+	return results, nil
 }
 
 // fold routes one loaded sub-partition into the current deltas of every
