@@ -3,7 +3,7 @@ GO ?= go
 # Minimum statement coverage (%) for internal/obs enforced by `make cover`.
 OBS_COVER_MIN ?= 80
 
-.PHONY: check build vet fmt test race bench benchmark bench-json bench-compare bench-gate cover workload-report advise-report prof-report fuzz noskip lint loc
+.PHONY: check build vet fmt test race bench benchmark bench-json bench-compare bench-gate cover workload-report advise-report fuzz noskip lint loc
 
 # check is the full gate: build, vet, formatting, the race-enabled test
 # suite, the coverage floor, the no-skip guard on the SLO and wide-event
@@ -34,8 +34,9 @@ race:
 # and index is read from, the Bloom filter files and the advisor's
 # joins.jrd that Load reads at start-up, the manifest log OpenOnDisk
 # replays and the dictionary base and segments Load reads at every
-# start, and the N-Triples and SPARQL parsers behind pingd's /update
-# and /query bodies: no input may panic
+# start, the N-Triples and SPARQL parsers behind pingd's /update
+# and /query bodies, and the traceparent header every request may
+# carry: no input may panic
 # or allocate for data it does not carry, and accepted inputs must
 # round-trip. Go allows one -fuzz pattern per invocation, so
 # each target gets its own run.
@@ -50,6 +51,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadDict$$' -fuzztime=$(FUZZTIME) ./internal/rdf/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseNTriples$$' -fuzztime=$(FUZZTIME) ./internal/rdf/
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/sparql/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=$(FUZZTIME) ./internal/obs/
 
 # benchmark runs the end-to-end benchmark declared in BENCHMARK.json
 # (benchmark/README.md): it builds and launches pingd on generated data
@@ -65,8 +67,9 @@ bench:
 
 # bench-json writes machine-readable per-query trajectories (step
 # latencies, coverage curve, exact-answer time) as bench/BENCH_<ds>.json,
-# and captures CPU+heap profiles of the run into bench/profiles (render
-# them with `make prof-report`).
+# and captures CPU+heap profiles of the run into bench/profiles (their
+# samples carry query_fp/stage labels: `go tool pprof -tags
+# bench/profiles/cpu.pprof*`).
 bench-json:
 	$(GO) run ./cmd/pingbench -exp none -json-out bench -datasets uniprot,shop -scale 0.5 \
 		-profile-dir bench/profiles -profile-interval 10s -profile-cpu-window 3s
@@ -144,13 +147,6 @@ TOP ?= 10
 SNAPSHOT ?= workload.ndjson
 workload-report:
 	$(GO) run ./cmd/pingworkload -in $(SNAPSHOT) -top $(TOP)
-
-# prof-report renders a continuous-profiling capture directory (written
-# by pingd/pingbench -profile-dir, default the bench-json capture) as
-# the top-N query fingerprints by attributed CPU.
-PROFDIR ?= bench/profiles
-prof-report:
-	$(GO) run ./cmd/pingprof -dir $(PROFDIR) -top $(TOP)
 
 # advise-report analyzes a workload snapshot (pingd -workload-out, or
 # /workload?format=ndjson) against a persisted store and prints the

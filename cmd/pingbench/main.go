@@ -18,8 +18,8 @@
 // -profile-dir DIR captures continuous CPU and heap profiles into DIR
 // while the experiments run (same bounded rotation as pingd). Every
 // query execution is pprof-labeled with its workload fingerprint, so
-// `pingprof -dir DIR` afterwards attributes the run's CPU per query
-// class.
+// `go tool pprof -tags DIR/cpu.pprof*` afterwards attributes the run's
+// CPU per query class.
 package main
 
 import (

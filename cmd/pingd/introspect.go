@@ -21,7 +21,7 @@ import (
 func queryText(r *http.Request) string {
 	text := r.URL.Query().Get("q")
 	if text == "" && r.Body != nil {
-		body, _ := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+		body, _ := io.ReadAll(io.LimitReader(r.Body, obs.MaxQueryBytes))
 		text = string(body)
 	}
 	return text
@@ -120,8 +120,8 @@ func (s *server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 // resourcesResponse is the /resources document: per-fingerprint
 // measured cost, sorted most-expensive first.
 type resourcesResponse struct {
-	// Top ranks fingerprints by profile-attributed CPU seconds, then
-	// ledger task seconds, then total latency.
+	// Top ranks fingerprints by ledger task seconds, then total
+	// latency.
 	Top     []workload.FingerprintStats `json:"top"`
 	Dropped int64                       `json:"dropped"`
 	// InflightCPUSeconds is the cost-admission debt currently reserved;
@@ -131,10 +131,10 @@ type resourcesResponse struct {
 }
 
 // handleResources serves the per-query resource ledger aggregates: the
-// top resource consumers by measured CPU (profile-attributed seconds
-// when continuous profiling is on, dataflow task seconds otherwise),
-// with the full ledger per fingerprint. ?top=N truncates (default 20);
-// ?format=ndjson emits the workload snapshot persistence format.
+// top resource consumers by measured CPU (the ledger's dataflow task
+// seconds), with the full ledger per fingerprint. ?top=N truncates
+// (default 20); ?format=ndjson emits the workload snapshot persistence
+// format.
 func (s *server) handleResources(w http.ResponseWriter, r *http.Request) {
 	top := 20
 	if v := r.URL.Query().Get("top"); v != "" {
@@ -258,7 +258,7 @@ const dashboardHTML = `<!DOCTYPE html>
 <h2>Top resource consumers</h2>
 <div id="resnote" style="color:#666"></div>
 <table id="res"><thead><tr>
-  <th class="c">fingerprint</th><th>profile CPU s</th><th>task s</th><th>rows loaded</th>
+  <th class="c">fingerprint</th><th>task s</th><th>rows loaded</th>
   <th>decoded</th><th>storage read</th><th>cache pinned</th><th>dict decodes</th><th>peak rel rows</th>
 </tr></thead><tbody></tbody></table>
 <script>
@@ -374,7 +374,6 @@ function refresh() {
     document.getElementById('resnote').textContent = '';
     var rows = (rs.top || []).map(function (f) {
       return '<tr><td class="c" title="' + esc(f.canonical || '') + '">' + esc(f.fingerprint) + '</td>' +
-        '<td>' + (f.profile_cpu_seconds || 0).toFixed(3) + '</td>' +
         '<td>' + (f.task_seconds || 0).toFixed(3) + '</td>' +
         '<td>' + (f.rows_loaded || 0) + '</td>' +
         '<td>' + mb(f.bytes_decoded || 0) + '</td>' +

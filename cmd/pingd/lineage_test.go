@@ -21,6 +21,44 @@ import (
 	"ping/internal/workload"
 )
 
+// TestLargeQueryWideEventReplays: a query near the body cap leaves an
+// event the replay reads back. The event carries the text twice, and
+// JSON escapes each < and > to six bytes, so this 200 KB query writes a
+// line of about 2.4 MB.
+func TestLargeQueryWideEventReplays(t *testing.T) {
+	eventBuf := &lockedBuffer{}
+	reg := obs.NewRegistry()
+	events := obs.NewEventLog(eventBuf, 64, reg)
+	_, ts, _ := newTestServer(t, serverConfig{Metrics: reg, Events: events})
+
+	qs := `SELECT * WHERE { ?x <p0> "` + strings.Repeat("<>", 100_000) + `" }`
+	resp, err := http.Post(ts.URL+"/query", "application/sparql-query", strings.NewReader(qs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := readObsLines(t, resp.Body); len(last) == 0 || !last[len(last)-1].Done {
+		t.Fatalf("large query did not complete: %+v", last)
+	}
+	resp.Body.Close()
+	if err := events.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if size := len(eventBuf.String()); size < 2<<20 {
+		t.Fatalf("event line is %d bytes, want > 2 MiB (the test is vacuous)", size)
+	}
+	evs, err := obs.ReadWideEvents(strings.NewReader(eventBuf.String()))
+	if err != nil || len(evs) != 1 {
+		t.Fatalf("read back: %v (%d events)", err, len(evs))
+	}
+	if evs[0].Query != qs {
+		t.Errorf("replayed query text differs from the served one (%d vs %d bytes)", len(evs[0].Query), len(qs))
+	}
+	p, n, err := workload.ReplayEvents(strings.NewReader(eventBuf.String()), workload.Options{Metrics: obs.NewRegistry()})
+	if err != nil || n != 1 || p.Top(1)[0].Fingerprint != evs[0].Fingerprint {
+		t.Fatalf("replay: %v (%d events)", err, n)
+	}
+}
+
 // TestWideEventCoversEverySegment: the wide event of a lineage that
 // paused twice carries the work of all three segments — one step time
 // per lineage step, and every binding decoded on the way.
@@ -281,10 +319,10 @@ func TestLiveRecordsEqualEventReplay(t *testing.T) {
 	sameJSON("/resources?top=10", &resourcesResponse{},
 		resourcesResponse{Top: replayed.TopByCost(10), Dropped: replayed.Dropped()})
 
-	// /slo equals the replayed events fed through slo.EventFromWide.
+	// /slo equals the replayed events fed to an SLO engine.
 	offline := slo.NewEngine(obs.NewRegistry(), defaultObjectives()...).WithClock(clk.now)
 	for _, ev := range evs {
-		offline.Observe(slo.EventFromWide(ev))
+		offline.Observe(ev)
 	}
 	sameJSON("/slo", &sloResponse{}, sloResponse{Objectives: offline.Snapshot()})
 }

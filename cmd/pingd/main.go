@@ -26,8 +26,8 @@
 // With -admin-addr the introspection surface (/metrics, /debug/*,
 // /traces, /resources) moves to a second listener; with -profile-dir
 // the daemon captures CPU+heap profiles continuously into bounded
-// rotating files and attributes profiled CPU back to query
-// fingerprints via pprof labels.
+// rotating files whose samples carry query_fp/stage/trace_id pprof
+// labels (go tool pprof -tags reads them).
 //
 // Usage:
 //
@@ -172,25 +172,11 @@ func main() {
 
 	// Continuous profiling & runtime metrics: the poller exports
 	// runtime_* gauges; the capturer writes CPU+heap profiles on a
-	// cadence into bounded rotating files and feeds label-attributed CPU
-	// back into the workload profiler (served at /resources, consulted
-	// by -admission-cpu).
+	// cadence into bounded rotating files, labeled per query.
 	poller := prof.NewPoller(nil, 0).Start()
 	defer poller.Stop()
 	if cfg.ProfileDir != "" {
-		capt, err := prof.StartCapture(prof.CaptureConfig{
-			Dir: cfg.ProfileDir,
-			OnCPUProfile: func(data []byte) {
-				p, err := prof.ParseProfile(data)
-				if err != nil {
-					return
-				}
-				byFP, _ := p.CPUByLabel(prof.LabelQueryFP)
-				for fp, ns := range byFP {
-					srv.profiler.AddProfileCPU(fp, time.Duration(ns))
-				}
-			},
-		})
+		capt, err := prof.StartCapture(prof.CaptureConfig{Dir: cfg.ProfileDir})
 		if err != nil {
 			fatal(err)
 		}

@@ -118,41 +118,6 @@ func TestResourceLedgerFlowsToResourcesAndEvents(t *testing.T) {
 	}
 }
 
-// TestResourcesReportsProfileCPU checks /resources serves exactly the
-// per-fingerprint CPU the profile parser fed in — the endpoint and a
-// consumer re-aggregating the captured profiles see the same numbers.
-func TestResourcesReportsProfileCPU(t *testing.T) {
-	srv, ts, _ := newTestServer(t, serverConfig{})
-
-	const qs = `SELECT * WHERE { ?x <p0> ?y }`
-	resp, err := http.Get(queryURL(ts.URL, qs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	readObsLines(t, resp.Body)
-	resp.Body.Close()
-
-	q, _ := sparql.Parse(qs)
-	fp := workload.FingerprintCanonical(workload.Canonical(q))
-	srv.profiler.AddProfileCPU(fp, 123*time.Millisecond)
-
-	r2, err := http.Get(ts.URL + "/resources?top=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc resourcesResponse
-	if err := json.NewDecoder(r2.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	r2.Body.Close()
-	if len(doc.Top) == 0 || doc.Top[0].Fingerprint != fp {
-		t.Fatalf("profile-CPU fingerprint not ranked first: %+v", doc.Top)
-	}
-	if got := doc.Top[0].ProfileCPUSeconds; math.Abs(got-0.123) > 1e-9 {
-		t.Errorf("profile_cpu_seconds = %v, want 0.123", got)
-	}
-}
-
 // TestCostAdmissionShedsMeasuredExpensiveQueries: once a fingerprint's
 // measured cost is known and the inflight cost budget is full, further
 // queries of that class get 429 with reason "cost"; unknown
@@ -173,7 +138,7 @@ func TestCostAdmissionShedsMeasuredExpensiveQueries(t *testing.T) {
 	resp.Body.Close()
 	q, _ := sparql.Parse(qs)
 	fp := workload.FingerprintCanonical(workload.Canonical(q))
-	srv.profiler.AddProfileCPU(fp, time.Second) // 1s per run >> 100ms budget
+	srv.profiler.Observe(obs.WideEvent{Fingerprint: fp, TaskMs: 1000}) // ~0.5s per run >> 100ms budget
 
 	if est := srv.profiler.EstimateCost(fp); est <= srv.cfg.AdmissionCPU {
 		t.Fatalf("estimate %v not over budget %v", est, srv.cfg.AdmissionCPU)
@@ -270,7 +235,7 @@ func TestCostAdmissionShedsResume(t *testing.T) {
 	resp.Body.Close()
 	q, _ := sparql.Parse(qs)
 	fp := workload.FingerprintCanonical(workload.Canonical(q))
-	srv.profiler.AddProfileCPU(fp, time.Second)
+	srv.profiler.Observe(obs.WideEvent{Fingerprint: fp, TaskMs: 1000})
 	paused := getRLines(t, queryURL(ts.URL, qs)+"&max_steps=1")
 	token := paused[len(paused)-1].Cursor
 	if !paused[len(paused)-1].Paused || token == "" {

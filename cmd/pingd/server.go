@@ -85,7 +85,7 @@ type serverConfig struct {
 	SLO *slo.Engine
 	// AdmissionCPU, when positive, turns on cost-based admission: the
 	// estimated CPU cost of all inflight queries (per-fingerprint
-	// measurement from the resource ledger and captured profiles) may
+	// measurement from the resource ledger) may
 	// not exceed this many CPU-seconds; excess queries get 429. Unknown
 	// fingerprints always admit — shedding is by *measured* cost.
 	AdmissionCPU time.Duration
@@ -366,9 +366,8 @@ func (s *server) admit(ctx context.Context) (func(), int) {
 
 // admitCost reserves fp's estimated CPU cost against the configured
 // inflight CPU budget (cost-based admission, AdmissionCPU). The
-// estimate is measurement, not planning: profile-attributed CPU per
-// run when captured profiles have seen the fingerprint, ledger task
-// seconds otherwise. Unknown fingerprints (estimate 0) always admit —
+// estimate is measurement, not planning: the ledger's task seconds per
+// run of the fingerprint. Unknown fingerprints (estimate 0) always admit —
 // something must run for cost to be measured. The returned release
 // gives the reservation back; ok=false means the query should be shed.
 func (s *server) admitCost(fp string) (release func(), ok bool) {
@@ -767,14 +766,14 @@ func (s *server) exportTrace(root *obs.Span) {
 }
 
 // recordLineage emits a finished lineage's wide event — the one record
-// of what it did — and feeds the records derived from it to the
-// workload profiler, the slow-query log and the SLO engine, exactly as
-// an offline replay of the event stream derives them.
+// of what it did — and feeds it to the workload profiler, the slow-query
+// log and the SLO engine, exactly as an offline replay of the event
+// stream does.
 func (s *server) recordLineage(ev obs.WideEvent) {
 	s.cfg.Events.Emit(ev)
-	s.profiler.ObserveFingerprint(ev.Fingerprint, ev.Canonical, ev.Shape, workload.ObservationFromEvent(ev))
-	s.cfg.SlowLog.Observe(workload.SlowQueryFromEvent(ev), ev.Latency())
-	s.cfg.SLO.Observe(slo.EventFromWide(ev))
+	s.profiler.Observe(ev)
+	s.cfg.SlowLog.Observe(ev)
+	s.cfg.SLO.Observe(ev)
 }
 
 // handleQuery streams a progressive query: one JSON object per PQA step

@@ -452,28 +452,3 @@ func Distinct[T comparable](d *Dataset[T], numParts int, hash func(T) uint64) *D
 	})
 	return &Dataset[T]{ctx: d.ctx, parts: out}
 }
-
-// ReduceByKey combines values sharing a key with reduce, after a shuffle.
-func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], numParts int, hash func(K) uint64, reduce func(V, V) V) *Dataset[Pair[K, V]] {
-	sh := shuffle(d, numParts, func(k K) uint64 { return mix64(hash(k)) })
-	out := make([][]Pair[K, V], len(sh.parts))
-	d.ctx.runTasks(len(sh.parts), func(i int) {
-		acc := make(map[K]V, len(sh.parts[i]))
-		order := make([]K, 0, len(sh.parts[i]))
-		for _, row := range sh.parts[i] {
-			if cur, ok := acc[row.Key]; ok {
-				acc[row.Key] = reduce(cur, row.Value)
-			} else {
-				acc[row.Key] = row.Value
-				order = append(order, row.Key)
-			}
-		}
-		d.ctx.rowsRead.Add(int64(len(sh.parts[i])))
-		o := make([]Pair[K, V], 0, len(order))
-		for _, k := range order {
-			o = append(o, Pair[K, V]{k, acc[k]})
-		}
-		out[i] = o
-	})
-	return &Dataset[Pair[K, V]]{ctx: d.ctx, parts: out}
-}

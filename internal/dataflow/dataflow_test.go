@@ -196,25 +196,6 @@ func TestJoinByKeyBuildSideSymmetry(t *testing.T) {
 	}
 }
 
-func TestReduceByKey(t *testing.T) {
-	ctx := NewContext(4)
-	var rows []Pair[int, int]
-	for i := 1; i <= 100; i++ {
-		rows = append(rows, Pair[int, int]{i % 5, i})
-	}
-	red := ReduceByKey(Parallelize(ctx, rows, 6), 3, intHash, func(a, b int) int { return a + b })
-	if red.Count() != 5 {
-		t.Fatalf("ReduceByKey produced %d keys, want 5", red.Count())
-	}
-	total := 0
-	for _, row := range red.Collect() {
-		total += row.Value
-	}
-	if total != 5050 {
-		t.Errorf("sum over groups = %d, want 5050", total)
-	}
-}
-
 func TestMetricsAccounting(t *testing.T) {
 	ctx := NewContext(4)
 	ctx.ResetMetrics()
@@ -252,12 +233,22 @@ func TestLargeParallelStress(t *testing.T) {
 		data[i] = i
 	}
 	d := Parallelize(ctx, data, 16)
+	// Every row meets exactly one of the 97 keys on the right, so the
+	// 8-partition shuffle join must return each row once.
+	keys := make([]Pair[int, int], 97)
+	for k := range keys {
+		keys[k] = Pair[int, int]{k, k}
+	}
 	sum := 0
-	for _, row := range ReduceByKey(
+	for _, row := range JoinByKey(
 		Map(d, func(x int) Pair[int, int] { return Pair[int, int]{x % 97, x} }),
-		8, intHash, func(a, b int) int { return a + b },
+		Parallelize(ctx, keys, 4),
+		8, intHash,
 	).Collect() {
-		sum += row.Value
+		if row.Value.Right != row.Key {
+			t.Fatalf("row %d joined key %d", row.Value.Left, row.Value.Right)
+		}
+		sum += row.Value.Left
 	}
 	want := n * (n - 1) / 2
 	if sum != want {

@@ -172,18 +172,22 @@ func (s *Suite) AdvisorAblation(b *BuiltDataset) ([]BenchAdvisorRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		o := workload.Observation{
-			Latency: time.Since(t0),
-			Steps:   len(res.Steps),
-			Answers: res.Final.Card(),
+		canonical := workload.Canonical(lq.Query)
+		ev := obs.WideEvent{
+			Fingerprint: workload.FingerprintCanonical(canonical),
+			Canonical:   canonical,
+			Shape:       sparql.Classify(lq.Query).String(),
+			LatencyMs:   float64(time.Since(t0)) / float64(time.Millisecond),
+			Steps:       len(res.Steps),
+			Answers:     res.Final.Card(),
 		}
 		for _, st := range res.Steps {
 			if st.NewAnswers > 0 {
-				o.StepsToFirstAnswer = st.Step
+				ev.StepsToFirstAnswer = st.Step
 				break
 			}
 		}
-		prof.Observe(lq.Query, o)
+		prof.Observe(ev)
 	}
 
 	advice, err := advisor.Analyze(b.Layout, prof.Snapshot(), advisor.Config{})

@@ -31,23 +31,20 @@ type CaptureConfig struct {
 	CaptureOnStart bool
 	// Registry receives prof_* capture counters (nil: obs.Default).
 	Registry *obs.Registry
-	// OnCPUProfile, when set, observes every captured CPU profile
-	// before it is persisted — pingd uses it to fold label-attributed
-	// CPU into the workload profiler.
-	OnCPUProfile func(data []byte)
 }
 
-// Capturer periodically captures CPU and heap profiles, persisting
-// each through an obs.AsyncSink into an obs.RotatingFile. Each capture
-// is exactly one write, and the rotating files use a 1-byte size cap
-// so every write rotates the previous profile out: one complete,
-// independently parseable profile per generation file (concatenated
-// gzip profiles would not merge meaningfully), with RotatingFile's
-// pruning and restart-aware numbering bounding total disk.
+// Capturer periodically captures CPU and heap profiles, writing each
+// into an obs.RotatingFile from the capture goroutine, off the query
+// path. Each capture is exactly one write of the profile's bytes, and
+// the rotating files use a 1-byte size cap so every write rotates the
+// previous profile out: one complete profile per generation file, as
+// go tool pprof reads it (concatenated gzip profiles would not merge
+// meaningfully), with RotatingFile's pruning and restart-aware
+// numbering bounding total disk.
 type Capturer struct {
 	cfg      CaptureConfig
-	cpuSink  *obs.AsyncSink
-	heapSink *obs.AsyncSink
+	cpuFile  *obs.RotatingFile
+	heapFile *obs.RotatingFile
 
 	captured *obs.Counter
 	heapCap  *obs.Counter
@@ -96,8 +93,8 @@ func StartCapture(cfg CaptureConfig) (*Capturer, error) {
 	}
 	c := &Capturer{
 		cfg:      cfg,
-		cpuSink:  obs.NewAsyncSink(cpuFile, 4),
-		heapSink: obs.NewAsyncSink(heapFile, 4),
+		cpuFile:  cpuFile,
+		heapFile: heapFile,
 		captured: reg.Counter("prof_profiles_captured_total", obs.Labels{"kind": "cpu"}),
 		heapCap:  reg.Counter("prof_profiles_captured_total", obs.Labels{"kind": "heap"}),
 		errs:     reg.Counter("prof_profile_capture_errors_total", nil),
@@ -146,11 +143,10 @@ func (c *Capturer) captureCPU() {
 		// Shutting down mid-window: keep the short profile.
 	}
 	pprof.StopCPUProfile()
-	data := buf.Bytes()
-	if c.cfg.OnCPUProfile != nil {
-		c.cfg.OnCPUProfile(data)
+	if _, err := c.cpuFile.Write(buf.Bytes()); err != nil {
+		c.errs.Inc()
+		return
 	}
-	c.cpuSink.Emit(data)
 	c.captured.Inc()
 }
 
@@ -165,17 +161,20 @@ func (c *Capturer) captureHeap() {
 		c.errs.Inc()
 		return
 	}
-	c.heapSink.Emit(buf.Bytes())
+	if _, err := c.heapFile.Write(buf.Bytes()); err != nil {
+		c.errs.Inc()
+		return
+	}
 	c.heapCap.Inc()
 }
 
-// Dropped reports profiles lost to full sink queues or write errors.
+// Dropped reports profiles lost: captures that failed to start or to
+// reach disk.
 func (c *Capturer) Dropped() int64 {
-	return c.cpuSink.Dropped() + c.heapSink.Dropped()
+	return c.errs.Value()
 }
 
-// Close stops the loop and drains both sinks (closing the underlying
-// rotating files).
+// Close stops the loop and closes the rotating files.
 func (c *Capturer) Close() error {
 	select {
 	case <-c.stop:
@@ -183,8 +182,8 @@ func (c *Capturer) Close() error {
 		close(c.stop)
 	}
 	<-c.done
-	err := c.cpuSink.Close()
-	if herr := c.heapSink.Close(); err == nil {
+	err := c.cpuFile.Close()
+	if herr := c.heapFile.Close(); err == nil {
 		err = herr
 	}
 	return err

@@ -3,7 +3,12 @@ package prof
 import (
 	"context"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,24 +35,17 @@ func burn(stop <-chan struct{}) uint64 {
 }
 
 // captureLabeledProfile burns CPU on two goroutines labeled with fp
-// while one capture window runs, and returns the captured profile.
-func captureLabeledProfile(t *testing.T, dir, fp string, window time.Duration) []byte {
+// while one capture window runs into a fresh dir, and returns the path
+// of the captured CPU profile.
+func captureLabeledProfile(t *testing.T, fp string, window time.Duration) string {
 	t.Helper()
-	var (
-		mu  sync.Mutex
-		got []byte
-	)
+	dir := t.TempDir()
 	c, err := StartCapture(CaptureConfig{
 		Dir:       dir,
 		Interval:  time.Hour, // the loop must not fire on its own mid-test
 		CPUWindow: window,
 		MaxFiles:  2,
 		Registry:  obs.NewRegistry(),
-		OnCPUProfile: func(data []byte) {
-			mu.Lock()
-			got = append([]byte(nil), data...)
-			mu.Unlock()
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,9 +66,85 @@ func captureLabeledProfile(t *testing.T, dir, fp string, window time.Duration) [
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	return got
+	// One capture into an empty dir: the profile is the active file.
+	return filepath.Join(dir, "cpu.pprof")
+}
+
+// pprofRaw prints a profile file with the toolchain's pprof, the
+// reference reader of the capture format; it fails the test when the
+// file is not one parseable profile.
+func pprofRaw(t *testing.T, file string) string {
+	t.Helper()
+	goBin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	out, err := exec.Command(goBin, "tool", "pprof", "-raw", "-symbolize=none", file).Output()
+	if err != nil {
+		var stderr []byte
+		if ee, ok := err.(*exec.ExitError); ok {
+			stderr = ee.Stderr
+		}
+		t.Fatalf("go tool pprof -raw %s: %v\n%s", file, err, stderr)
+	}
+	return string(out)
+}
+
+var rawLabel = regexp.MustCompile(`(\S+):\[([^\]]*)\]`)
+
+// cpuByLabel sums the CPU nanoseconds of a profile's samples per value
+// of the pprof label key, read from go tool pprof -raw; unlabeled is the
+// CPU of samples without that label.
+func cpuByLabel(t *testing.T, file, key string) (by map[string]int64, unlabeled int64) {
+	t.Helper()
+	lines := strings.Split(pprofRaw(t, file), "\n")
+	start := -1
+	for i, l := range lines {
+		if l == "Samples:" {
+			start = i
+			break
+		}
+	}
+	if start < 0 || start+1 >= len(lines) {
+		t.Fatalf("%s: no Samples section in pprof -raw output", file)
+	}
+	col := -1
+	for i, f := range strings.Fields(lines[start+1]) {
+		if f == "cpu/nanoseconds" {
+			col = i
+		}
+	}
+	if col < 0 {
+		t.Fatalf("%s: no cpu/nanoseconds sample type in %q", file, lines[start+1])
+	}
+	by = make(map[string]int64)
+	var last int64 // CPU of the sample the next label line belongs to
+	// Each sample is a values line ("count ns: loc ids"), optionally
+	// followed by an indented label line ("key:[v] key:[v]"). The
+	// section ends at the first unindented line.
+	for _, l := range lines[start+2:] {
+		if !strings.HasPrefix(l, " ") {
+			break
+		}
+		if !strings.Contains(l, ":[") {
+			vals, _, _ := strings.Cut(l, ":")
+			f := strings.Fields(vals)
+			if col >= len(f) {
+				t.Fatalf("%s: short sample line %q", file, l)
+			}
+			ns, err := strconv.ParseInt(f[col], 10, 64)
+			if err != nil {
+				t.Fatalf("%s: sample line %q: %v", file, l, err)
+			}
+			last = ns
+			unlabeled += ns
+			continue
+		}
+		for _, m := range rawLabel.FindAllStringSubmatch(l, -1) {
+			if m[1] == key {
+				by[m[2]] += last
+				unlabeled -= last
+			}
+		}
+	}
+	return by, unlabeled
 }
 
 // TestCaptureAttributesCPUToFingerprint is the attribution acceptance
@@ -86,15 +160,8 @@ func TestCaptureAttributesCPUToFingerprint(t *testing.T) {
 	// Profile sampling is statistical; allow a retry before declaring
 	// attribution broken.
 	for attempt := 0; ; attempt++ {
-		data := captureLabeledProfile(t, t.TempDir(), fp, 400*time.Millisecond)
-		if len(data) == 0 {
-			t.Fatal("no profile captured")
-		}
-		p, err := ParseProfile(data)
-		if err != nil {
-			t.Fatalf("captured profile does not parse: %v", err)
-		}
-		byFP, unlabeled := p.CPUByLabel(LabelQueryFP)
+		file := captureLabeledProfile(t, fp, 400*time.Millisecond)
+		byFP, unlabeled := cpuByLabel(t, file, LabelQueryFP)
 		var labeled int64
 		for _, ns := range byFP {
 			labeled += ns
@@ -102,7 +169,7 @@ func TestCaptureAttributesCPUToFingerprint(t *testing.T) {
 		total := labeled + unlabeled
 		if total > 0 && byFP[fp] > 0 && float64(labeled)/float64(total) >= 0.9 {
 			// Also check the stage label rode along.
-			byStage, _ := p.CPUByLabel(LabelStage)
+			byStage, _ := cpuByLabel(t, file, LabelStage)
 			if byStage["pqa"] == 0 {
 				t.Fatalf("stage label missing: %v", byStage)
 			}
@@ -162,50 +229,7 @@ func TestCaptureBoundsDiskAndKeepsParseableGenerations(t *testing.T) {
 				// The active file is empty right after a rotation boundary.
 				continue
 			}
-			if _, err := ParseProfile(data); err != nil {
-				t.Errorf("%s is not one parseable profile: %v", f, err)
-			}
+			pprofRaw(t, f)
 		}
-	}
-
-	// The report layer reads the same directory.
-	files, err := CPUProfileFiles(dir)
-	if err != nil || len(files) == 0 {
-		t.Fatalf("CPUProfileFiles: %v (%d files)", err, len(files))
-	}
-	if _, _, err := AggregateCPUDir(dir, LabelQueryFP); err != nil {
-		t.Errorf("AggregateCPUDir: %v", err)
-	}
-}
-
-// TestAggregateCPUDirSumsAcrossGenerations captures labeled CPU twice
-// (forcing a rotation) and checks the directory aggregation still
-// attributes the fingerprint across generation files.
-func TestAggregateCPUDirSumsAcrossGenerations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CPU profiling windows in -short")
-	}
-	dir := t.TempDir()
-	const fp = "fp-aggregate-test"
-	for i := 0; i < 2; i++ {
-		if data := captureLabeledProfile(t, dir, fp, 150*time.Millisecond); len(data) == 0 {
-			t.Fatal("no profile captured")
-		}
-	}
-	rows, _, err := AggregateCPUDir(dir, LabelQueryFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.Value == fp && r.CPUNanos > 0 {
-			return
-		}
-	}
-	t.Fatalf("fingerprint %s missing from directory aggregation: %+v", fp, rows)
-}
-
-func TestAggregateCPUDirEmptyErrors(t *testing.T) {
-	if _, _, err := AggregateCPUDir(t.TempDir(), LabelQueryFP); err == nil {
-		t.Fatal("empty directory did not error")
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // Profile label keys stamped on query-execution goroutines. A CPU
 // profile captured while queries run attributes samples to
-// fingerprints via LabelQueryFP; CPUByLabel aggregates them back into
-// per-fingerprint CPU seconds.
+// fingerprints via LabelQueryFP; go tool pprof -tags sums them per
+// value, and -tagfocus=query_fp=<fp> narrows a profile to one class.
 const (
 	LabelQueryFP = "query_fp"
 	LabelTraceID = "trace_id"

@@ -1,8 +1,10 @@
 // Package prof is the continuous-profiling and resource-attribution
-// layer: pprof label propagation for per-fingerprint CPU accounting, a
-// runtime/metrics poller, cadenced CPU/heap profile capture with
-// bounded disk, a stdlib pprof-protobuf parser, and a per-query
-// resource ledger threaded through ping → engine → dataflow → dfs.
+// layer: a per-query resource ledger threaded through ping → engine →
+// dataflow → dfs, the one source of per-fingerprint cost; pprof label
+// propagation, so captured profiles can be sliced by query; a
+// runtime/metrics poller; and cadenced CPU/heap profile capture with
+// bounded disk. Reading the captured profiles is left to the
+// toolchain: go tool pprof -tags / -tagfocus.
 //
 // Everything here is stdlib-only and import-light (only internal/obs),
 // so any layer of the system can attach to it without cycles.
@@ -19,8 +21,8 @@ import (
 // code paths without an attached ledger pay one pointer test.
 //
 // CPU here is task-execution wall time summed over dataflow tasks (Go
-// exposes no per-goroutine CPU clock); profile-attributed CPU seconds
-// come separately from label-aggregated pprof samples (CPUByLabel).
+// exposes no per-goroutine CPU clock). It is the only CPU attribution:
+// /resources ranks by it and cost-based admission predicts from it.
 type Ledger struct {
 	taskNanos        atomic.Int64
 	rowsLoaded       atomic.Int64

@@ -1,9 +1,9 @@
 // Package slo evaluates service-level objectives over the progressive
 // query stream: declarative objectives (first-answer latency in steps,
 // coverage at budget exhaustion, end-to-end latency, availability) fed
-// one Event per query lineage, tracked in rolling time windows, and
-// alerted on with the multi-window multi-burn-rate policy from the
-// Google SRE workbook.
+// one obs.WideEvent per query lineage, tracked in rolling time
+// windows, and alerted on with the multi-window multi-burn-rate policy
+// from the Google SRE workbook.
 //
 // Burn rate is the ratio between the observed bad fraction and the
 // objective's error budget (1 - target): burn 1.0 spends the budget
@@ -15,9 +15,9 @@
 // window recovers. State is a pure function of the current window
 // counts, so recovery needs no timers.
 //
-// The engine is fed one EventFromWide per lineage wide event and exports
-// slo_* metrics into the obs registry; Snapshot backs the /slo endpoint
-// and the dashboard panel.
+// The engine is fed each lineage's wide event and exports slo_* metrics
+// into the obs registry; Snapshot backs the /slo endpoint and the
+// dashboard panel.
 package slo
 
 import (
@@ -27,46 +27,6 @@ import (
 
 	"ping/internal/obs"
 )
-
-// Event is one completed query lineage, as the SLO engine sees it.
-type Event struct {
-	// Latency is the lineage's total wall time across segments.
-	Latency time.Duration
-	// StepsToFirstAnswer is the 1-based slice step that delivered the
-	// first answer; 0 means the query finished with no answers.
-	StepsToFirstAnswer int
-	// Answers is the final answer count (to distinguish "no answer yet"
-	// from "the answer is legitimately empty").
-	Answers int
-	// Coverage is the fraction of final answers delivered when the
-	// client's budget was exhausted; meaningful only when Budgeted.
-	Coverage float64
-	// Budgeted reports whether the lineage ran under an explicit step
-	// budget (the progressive contract the coverage objective guards).
-	Budgeted bool
-	// Err reports a failed lineage; Degraded one that skipped unreadable
-	// sub-partitions.
-	Err      bool
-	Degraded bool
-}
-
-// EventFromWide derives a lineage's SLO event from its wide event. The
-// coverage at budget exhaustion is the coverage curve's value at the
-// event's BudgetExhaustedStep; lineages no budget bound are unbudgeted.
-func EventFromWide(ev obs.WideEvent) Event {
-	e := Event{
-		Latency:            ev.Latency(),
-		StepsToFirstAnswer: ev.StepsToFirstAnswer,
-		Answers:            ev.Answers,
-		Err:                ev.Error != "",
-		Degraded:           ev.Degraded,
-	}
-	if n := ev.BudgetExhaustedStep; n > 0 && n <= len(ev.Coverage) {
-		e.Budgeted = true
-		e.Coverage = ev.Coverage[n-1]
-	}
-	return e
-}
 
 // Alert states, ordered by severity.
 const (
@@ -89,14 +49,14 @@ const (
 	bucketWidth = 15 * time.Second
 )
 
-// Objective is one SLI with a target. classify maps an event to
-// good/bad, or skips it when the objective does not apply.
+// Objective is one SLI with a target. classify maps a lineage's wide
+// event to good/bad, or skips it when the objective does not apply.
 type Objective struct {
 	Name        string
 	Description string
 	// Target is the good fraction the objective promises (e.g. 0.99).
 	Target   float64
-	classify func(Event) (bad, skip bool)
+	classify func(obs.WideEvent) (bad, skip bool)
 
 	ring      *ring
 	prevState string
@@ -110,11 +70,11 @@ func Latency(name string, target float64, threshold time.Duration) *Objective {
 		Name:        name,
 		Description: "lineage completes within " + threshold.String(),
 		Target:      target,
-		classify: func(ev Event) (bool, bool) {
-			if ev.Err {
+		classify: func(ev obs.WideEvent) (bool, bool) {
+			if ev.Error != "" {
 				return false, true
 			}
-			return ev.Latency > threshold, false
+			return ev.Latency() > threshold, false
 		},
 	}
 }
@@ -129,8 +89,8 @@ func FirstAnswerSteps(name string, target float64, maxSteps int) *Objective {
 		Name:        name,
 		Description: "first answer within " + strconv.Itoa(maxSteps) + " slice steps",
 		Target:      target,
-		classify: func(ev Event) (bool, bool) {
-			if ev.Err || ev.Answers == 0 {
+		classify: func(ev obs.WideEvent) (bool, bool) {
+			if ev.Error != "" || ev.Answers == 0 {
 				return false, true
 			}
 			return ev.StepsToFirstAnswer == 0 || ev.StepsToFirstAnswer > maxSteps, false
@@ -141,18 +101,20 @@ func FirstAnswerSteps(name string, target float64, maxSteps int) *Objective {
 // CoverageAtBudget returns an objective promising that a target fraction
 // of budgeted lineages reach at least minCoverage of their final answers
 // when the budget runs out — the progressive contract: a bounded budget
-// still buys a useful sound subset. Unbudgeted and errored lineages are
-// skipped.
+// still buys a useful sound subset. The coverage at budget exhaustion is
+// the coverage curve's value at the event's BudgetExhaustedStep.
+// Lineages no budget bound, and errored ones, are skipped.
 func CoverageAtBudget(name string, target, minCoverage float64) *Objective {
 	return &Objective{
 		Name:        name,
 		Description: "coverage at budget exhaustion >= " + strconv.FormatFloat(minCoverage, 'g', -1, 64),
 		Target:      target,
-		classify: func(ev Event) (bool, bool) {
-			if ev.Err || !ev.Budgeted {
+		classify: func(ev obs.WideEvent) (bool, bool) {
+			n := ev.BudgetExhaustedStep
+			if ev.Error != "" || n <= 0 || n > len(ev.Coverage) {
 				return false, true
 			}
-			return ev.Coverage < minCoverage, false
+			return ev.Coverage[n-1] < minCoverage, false
 		},
 	}
 }
@@ -164,8 +126,8 @@ func Availability(name string, target float64) *Objective {
 		Name:        name,
 		Description: "lineage completes without error or degradation",
 		Target:      target,
-		classify: func(ev Event) (bool, bool) {
-			return ev.Err || ev.Degraded, false
+		classify: func(ev obs.WideEvent) (bool, bool) {
+			return ev.Error != "" || ev.Degraded, false
 		},
 	}
 }
@@ -232,8 +194,9 @@ func (e *Engine) Add(o *Objective) {
 	e.objectives = append(e.objectives, o)
 }
 
-// Observe classifies ev under every objective. Nil-safe.
-func (e *Engine) Observe(ev Event) {
+// Observe classifies one lineage's wide event under every objective.
+// Nil-safe.
+func (e *Engine) Observe(ev obs.WideEvent) {
 	if e == nil {
 		return
 	}

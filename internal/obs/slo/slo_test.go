@@ -20,6 +20,10 @@ func newFakeClock() *fakeClock {
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
+// failed is an errored lineage, bad under every objective that counts
+// errors.
+var failed = obs.WideEvent{Error: "boom"}
+
 func status(t *testing.T, e *Engine, name string) Status {
 	t.Helper()
 	for _, st := range e.Snapshot() {
@@ -52,16 +56,16 @@ func TestBurnRateOracle(t *testing.T) {
 
 	// t=0: 8 good, 2 bad.
 	for i := 0; i < 8; i++ {
-		e.Observe(Event{})
+		e.Observe(obs.WideEvent{})
 	}
-	e.Observe(Event{Err: true})
-	e.Observe(Event{Err: true})
+	e.Observe(failed)
+	e.Observe(failed)
 
 	// t=+10m: 10 good. The first batch has left the 5m window but is
 	// still inside 30m, 1h, and 6h.
 	clk.advance(10 * time.Minute)
 	for i := 0; i < 10; i++ {
-		e.Observe(Event{})
+		e.Observe(obs.WideEvent{})
 	}
 
 	st := status(t, e, "avail")
@@ -121,7 +125,7 @@ func TestAlertStateMachine(t *testing.T) {
 
 	// A burst of failures: both the 5m and 1h windows see 100% bad.
 	for i := 0; i < 20; i++ {
-		e.Observe(Event{Err: true})
+		e.Observe(failed)
 	}
 	if st := status(t, e, "avail"); st.State != StatePage {
 		t.Fatalf("state after failure burst = %q, want page", st.State)
@@ -132,7 +136,7 @@ func TestAlertStateMachine(t *testing.T) {
 	// burns, so the objective decays to warning rather than ok.
 	clk.advance(6 * time.Minute)
 	for i := 0; i < 20; i++ {
-		e.Observe(Event{})
+		e.Observe(obs.WideEvent{})
 	}
 	if st := status(t, e, "avail"); st.State != StateWarning {
 		t.Fatalf("state after 5m recovery = %q, want warning", st.State)
@@ -168,10 +172,10 @@ func TestWarningState(t *testing.T) {
 	// WarnBurn (6), below PageBurn (14.4).
 	e := NewEngine(obs.NewRegistry(), Availability("avail", 0.9)).WithClock(clk.now)
 	for i := 0; i < 4; i++ {
-		e.Observe(Event{Err: true})
-		e.Observe(Event{Err: true})
-		e.Observe(Event{Err: true})
-		e.Observe(Event{})
+		e.Observe(failed)
+		e.Observe(failed)
+		e.Observe(failed)
+		e.Observe(obs.WideEvent{})
 	}
 	st := status(t, e, "avail")
 	if st.State != StateWarning {
@@ -183,25 +187,26 @@ func TestObjectiveClassifiers(t *testing.T) {
 	cases := []struct {
 		name string
 		obj  *Objective
-		ev   Event
+		ev   obs.WideEvent
 		bad  bool
 		skip bool
 	}{
-		{"latency good", Latency("l", 0.99, time.Second), Event{Latency: 500 * time.Millisecond}, false, false},
-		{"latency bad", Latency("l", 0.99, time.Second), Event{Latency: 2 * time.Second}, true, false},
-		{"latency skips errors", Latency("l", 0.99, time.Second), Event{Latency: 2 * time.Second, Err: true}, false, true},
-		{"first-answer good", FirstAnswerSteps("f", 0.95, 3), Event{StepsToFirstAnswer: 2, Answers: 5}, false, false},
-		{"first-answer bad late", FirstAnswerSteps("f", 0.95, 3), Event{StepsToFirstAnswer: 4, Answers: 5}, true, false},
-		{"first-answer bad never", FirstAnswerSteps("f", 0.95, 3), Event{StepsToFirstAnswer: 0, Answers: 5}, true, false},
-		{"first-answer skips empty", FirstAnswerSteps("f", 0.95, 3), Event{StepsToFirstAnswer: 0, Answers: 0}, false, true},
-		{"first-answer skips errors", FirstAnswerSteps("f", 0.95, 3), Event{Answers: 5, Err: true}, false, true},
-		{"coverage good", CoverageAtBudget("c", 0.95, 0.5), Event{Budgeted: true, Coverage: 0.8}, false, false},
-		{"coverage bad", CoverageAtBudget("c", 0.95, 0.5), Event{Budgeted: true, Coverage: 0.2}, true, false},
-		{"coverage skips unbudgeted", CoverageAtBudget("c", 0.95, 0.5), Event{Coverage: 0.2}, false, true},
-		{"coverage skips errors", CoverageAtBudget("c", 0.95, 0.5), Event{Budgeted: true, Err: true}, false, true},
-		{"availability good", Availability("a", 0.999), Event{}, false, false},
-		{"availability bad error", Availability("a", 0.999), Event{Err: true}, true, false},
-		{"availability bad degraded", Availability("a", 0.999), Event{Degraded: true}, true, false},
+		{"latency good", Latency("l", 0.99, time.Second), obs.WideEvent{LatencyMs: 500}, false, false},
+		{"latency bad", Latency("l", 0.99, time.Second), obs.WideEvent{LatencyMs: 2000}, true, false},
+		{"latency skips errors", Latency("l", 0.99, time.Second), obs.WideEvent{LatencyMs: 2000, Error: "boom"}, false, true},
+		{"first-answer good", FirstAnswerSteps("f", 0.95, 3), obs.WideEvent{StepsToFirstAnswer: 2, Answers: 5}, false, false},
+		{"first-answer bad late", FirstAnswerSteps("f", 0.95, 3), obs.WideEvent{StepsToFirstAnswer: 4, Answers: 5}, true, false},
+		{"first-answer bad never", FirstAnswerSteps("f", 0.95, 3), obs.WideEvent{StepsToFirstAnswer: 0, Answers: 5}, true, false},
+		{"first-answer skips empty", FirstAnswerSteps("f", 0.95, 3), obs.WideEvent{StepsToFirstAnswer: 0, Answers: 0}, false, true},
+		{"first-answer skips errors", FirstAnswerSteps("f", 0.95, 3), obs.WideEvent{Answers: 5, Error: "boom"}, false, true},
+		{"coverage good", CoverageAtBudget("c", 0.95, 0.5), obs.WideEvent{BudgetExhaustedStep: 2, Coverage: []float64{0.1, 0.8, 1}}, false, false},
+		{"coverage bad", CoverageAtBudget("c", 0.95, 0.5), obs.WideEvent{BudgetExhaustedStep: 1, Coverage: []float64{0.2, 1}}, true, false},
+		{"coverage skips unbudgeted", CoverageAtBudget("c", 0.95, 0.5), obs.WideEvent{Coverage: []float64{0.2}}, false, true},
+		{"coverage skips a step past the curve", CoverageAtBudget("c", 0.95, 0.5), obs.WideEvent{BudgetExhaustedStep: 3, Coverage: []float64{0.2}}, false, true},
+		{"coverage skips errors", CoverageAtBudget("c", 0.95, 0.5), obs.WideEvent{BudgetExhaustedStep: 1, Coverage: []float64{0.2}, Error: "boom"}, false, true},
+		{"availability good", Availability("a", 0.999), obs.WideEvent{}, false, false},
+		{"availability bad error", Availability("a", 0.999), obs.WideEvent{Error: "boom"}, true, false},
+		{"availability bad degraded", Availability("a", 0.999), obs.WideEvent{Degraded: true}, true, false},
 	}
 	for _, c := range cases {
 		bad, skip := c.obj.classify(c.ev)
@@ -274,7 +279,7 @@ func TestRingBucketArithmetic(t *testing.T) {
 
 func TestEngineNilSafe(t *testing.T) {
 	var e *Engine
-	e.Observe(Event{}) // must not panic
+	e.Observe(obs.WideEvent{}) // must not panic
 	if e.Snapshot() != nil {
 		t.Fatal("nil engine snapshot != nil")
 	}

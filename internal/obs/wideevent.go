@@ -2,11 +2,11 @@
 // lineage, carrying everything the run revealed — identity (fingerprint,
 // trace ID), snapshot (epoch, layout signature), budget, segmentation,
 // the per-step coverage trajectory, cache behaviour, degradation, and
-// the outcome. It is the record a lineage leaves: the workload
-// profiler's observation (workload.ObservationFromEvent), the slow-query
-// log line (workload.SlowQueryFromEvent) and the SLO event
-// (slo.EventFromWide) are all derived from it, live in pingd and offline
-// from the NDJSON stream alike.
+// the outcome. It is the one record a lineage leaves: the workload
+// profiler (workload.Profiler.Observe), the slow-query log
+// (workload.SlowLog.Observe) and the SLO engine (slo.Engine.Observe)
+// each take it as it is, live in pingd and offline from the NDJSON
+// stream alike.
 //
 // Events are NDJSON through an AsyncSink over a RotatingFile, so
 // emission never blocks a query and the stream's disk footprint is
@@ -100,6 +100,21 @@ type WideEvent struct {
 	Error     string  `json:"error,omitempty"`
 }
 
+// MaxQueryBytes caps the SPARQL text a server reads from one request
+// (pingd's ?q= or request body); longer bodies are cut there.
+const MaxQueryBytes = 1 << 20
+
+// MaxEventLine bounds one line of a wide-event stream, so a corrupt
+// stream cannot grow the reader's buffer without limit. It follows from
+// MaxQueryBytes: an event carries the query text twice, as Query and as
+// Canonical, and json.Marshal writes a byte of it as up to six (it
+// escapes <, > and & as \u003c). Two fully escaped texts of the capped
+// length take 12 MiB. The other 4 MiB cover the fields that do not
+// scale with the text and a canonical form somewhat longer than the
+// text (variables renamed to ?vN). A canonical form that expands one
+// long PREFIX many times can still exceed the bound.
+const MaxEventLine = 16 * MaxQueryBytes
+
 // Latency returns LatencyMs as a duration, rounded to the nanosecond.
 func (ev WideEvent) Latency() time.Duration {
 	return time.Duration(math.Round(ev.LatencyMs * float64(time.Millisecond)))
@@ -165,10 +180,11 @@ func (l *EventLog) Close() error {
 }
 
 // ReadWideEvents parses a wide-event NDJSON stream written by EventLog.
-// Blank lines are skipped; any other malformed line is an error.
+// Blank lines are skipped; any other malformed line, or one longer than
+// MaxEventLine, is an error.
 func ReadWideEvents(r io.Reader) ([]WideEvent, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), MaxEventLine)
 	var out []WideEvent
 	for sc.Scan() {
 		line := sc.Bytes()

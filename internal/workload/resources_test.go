@@ -1,45 +1,16 @@
 package workload
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"ping/internal/obs"
 )
 
-// TestAddProfileCPUCapsHostileCardinality: profile labels are
-// attacker-influenced (a hostile client can vary query text freely), so
-// the profile-CPU map must stop growing at 4x the fingerprint bound
-// and count the overflow as dropped.
-func TestAddProfileCPUCapsHostileCardinality(t *testing.T) {
-	p := NewProfiler(Options{Metrics: obs.NewRegistry(), MaxFingerprints: 2})
-	for i := 0; i < 20; i++ {
-		p.AddProfileCPU(fmt.Sprintf("fp-%02d", i), time.Millisecond)
-	}
-	if got := len(p.profCPU); got != 8 {
-		t.Errorf("profCPU grew to %d entries, want 4*max = 8", got)
-	}
-	if d := p.Dropped(); d != 12 {
-		t.Errorf("Dropped() = %d, want 12 overflow credits", d)
-	}
-	// Known fingerprints keep accumulating even while the map is full.
-	p.AddProfileCPU("fp-00", time.Millisecond)
-	if got := p.profCPU["fp-00"]; got != 2*time.Millisecond {
-		t.Errorf("fp-00 CPU = %v, want 2ms", got)
-	}
-	// Empty fingerprints and non-positive durations are ignored.
-	p.AddProfileCPU("", time.Second)
-	p.AddProfileCPU("fp-00", -time.Second)
-	if got := p.profCPU["fp-00"]; got != 2*time.Millisecond {
-		t.Errorf("fp-00 CPU after junk = %v, want unchanged 2ms", got)
-	}
-}
-
 // TestEstimateCostPrefersProfileCPU: admission control wants per-run
-// on-CPU cost. Profile-attributed CPU is the truth when present; the
-// ledger's task seconds are the fallback; an unseen fingerprint costs
-// zero (meaning "unknown — admit").
+// cost, and the ledger is its one source: the estimate is the mean of
+// the task seconds the fingerprint's lineages recorded. An unseen
+// fingerprint costs zero (meaning "unknown — admit").
 func TestEstimateCostPrefersProfileCPU(t *testing.T) {
 	p := NewProfiler(Options{Metrics: obs.NewRegistry()})
 
@@ -47,44 +18,34 @@ func TestEstimateCostPrefersProfileCPU(t *testing.T) {
 		t.Errorf("unknown fingerprint cost = %v, want 0", got)
 	}
 
-	// Two observations with 300ms task time each → fallback mean 300ms.
+	// Two lineages with 300ms task time each → mean 300ms.
 	for i := 0; i < 2; i++ {
-		p.ObserveFingerprint("fp-a", "q", "star", Observation{
-			Latency: 10 * time.Millisecond, TaskSeconds: 0.3,
-		})
+		p.Observe(obs.WideEvent{Fingerprint: "fp-a", Canonical: "q", Shape: "star", LatencyMs: 10, TaskMs: 300})
 	}
 	if got := p.EstimateCost("fp-a"); got != 300*time.Millisecond {
-		t.Errorf("task-seconds fallback = %v, want 300ms", got)
+		t.Errorf("ledger mean = %v, want 300ms", got)
 	}
 
-	// Profile CPU lands: 100ms over those 2 runs → 50ms per run wins.
-	p.AddProfileCPU("fp-a", 100*time.Millisecond)
-	if got := p.EstimateCost("fp-a"); got != 50*time.Millisecond {
-		t.Errorf("profile-attributed estimate = %v, want 50ms", got)
-	}
-
-	// Profile CPU without any observation still estimates zero: there is
-	// no run count to divide by, and admission must not guess.
-	p.AddProfileCPU("fp-b", time.Second)
-	if got := p.EstimateCost("fp-b"); got != 0 {
-		t.Errorf("profile-only fingerprint cost = %v, want 0", got)
+	// A third, cheaper lineage moves the mean: (300+300+0)/3 = 200ms.
+	p.Observe(obs.WideEvent{Fingerprint: "fp-a", Canonical: "q", Shape: "star", LatencyMs: 10})
+	if got := p.EstimateCost("fp-a"); (got - 200*time.Millisecond).Abs() > time.Microsecond {
+		t.Errorf("ledger mean after a free run = %v, want 200ms", got)
 	}
 }
 
-// TestTopByCostOrdering: /resources sorts by measured cost — profile
-// CPU first, then ledger task seconds, then latency — not by latency
-// like the default Snapshot order.
+// TestTopByCostOrdering: /resources sorts by measured cost — ledger
+// task seconds, then latency — not by latency like the default
+// Snapshot order.
 func TestTopByCostOrdering(t *testing.T) {
 	p := NewProfiler(Options{Metrics: obs.NewRegistry()})
-	obsv := func(fp string, lat time.Duration, task float64) {
-		p.ObserveFingerprint(fp, "q "+fp, "star", Observation{Latency: lat, TaskSeconds: task})
+	obsv := func(fp string, latMs, taskMs float64) {
+		p.Observe(obs.WideEvent{Fingerprint: fp, Canonical: "q " + fp, Shape: "star", LatencyMs: latMs, TaskMs: taskMs})
 	}
 	// fp-slow has the worst latency but no measured cost; fp-cpu has
-	// profile CPU; fp-task only task seconds.
-	obsv("fp-slow", time.Second, 0)
-	obsv("fp-task", 10*time.Millisecond, 0.5)
-	obsv("fp-cpu", time.Millisecond, 0.1)
-	p.AddProfileCPU("fp-cpu", 200*time.Millisecond)
+	// the most task time, fp-task less.
+	obsv("fp-slow", 1000, 0)
+	obsv("fp-task", 10, 500)
+	obsv("fp-cpu", 1, 700)
 
 	got := p.TopByCost(0)
 	want := []string{"fp-cpu", "fp-task", "fp-slow"}

@@ -5,12 +5,15 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"ping/internal/obs"
 )
 
-// SlowQuery is one slow-query log record, written as a single NDJSON
-// line when a query's latency crosses the log's threshold.
+// SlowQuery is the JSON schema of one slow-query log record, written as
+// a single NDJSON line when a lineage's latency crosses the log's
+// threshold. SlowLog.Observe builds it from the lineage's wide event.
 type SlowQuery struct {
-	// Time is the RFC3339 completion timestamp (stamped by Observe).
+	// Time is the RFC3339 completion timestamp.
 	Time string `json:"time"`
 	// Fingerprint and Canonical identify the workload entry.
 	Fingerprint string `json:"fingerprint"`
@@ -21,10 +24,10 @@ type SlowQuery struct {
 	Epoch uint64 `json:"epoch"`
 	// LatencyMs is the query's total wall time.
 	LatencyMs float64 `json:"latency_ms"`
-	// ThresholdMs is the log's threshold (stamped by Observe).
+	// ThresholdMs is the log's threshold.
 	ThresholdMs float64 `json:"threshold_ms"`
 	// Plan summarizes the run's plan: strategy, step and sub-partition
-	// counts, deepest level, incremental mode.
+	// counts, deepest level. Lineages that delivered no step carry none.
 	Plan *PlanSummary `json:"plan,omitempty"`
 	// StepMs holds the per-step wall times of the run.
 	StepMs []float64 `json:"step_ms,omitempty"`
@@ -59,16 +62,30 @@ func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
 	return &SlowLog{w: w, threshold: threshold}
 }
 
-// Observe writes one record iff latency >= the threshold, stamping the
-// record's Time, LatencyMs, and ThresholdMs. It reports whether a record
+// Observe writes the slow-query record of one lineage's wide event iff
+// its latency is at least the threshold. It reports whether a record
 // was written.
-func (l *SlowLog) Observe(rec SlowQuery, latency time.Duration) bool {
+func (l *SlowLog) Observe(ev obs.WideEvent) bool {
+	latency := ev.Latency()
 	if l == nil || latency < l.threshold {
 		return false
 	}
-	rec.Time = time.Now().UTC().Format(time.RFC3339Nano)
-	rec.LatencyMs = float64(latency.Microseconds()) / 1000
-	rec.ThresholdMs = float64(l.threshold.Microseconds()) / 1000
+	rec := SlowQuery{
+		Time:        time.Now().UTC().Format(time.RFC3339Nano),
+		Fingerprint: ev.Fingerprint,
+		Canonical:   ev.Canonical,
+		Query:       ev.Query,
+		Epoch:       ev.Epoch,
+		LatencyMs:   float64(latency.Microseconds()) / 1000,
+		ThresholdMs: float64(l.threshold.Microseconds()) / 1000,
+		StepMs:      ev.StepMs,
+		Answers:     ev.Answers,
+		Degraded:    ev.Degraded,
+		Error:       ev.Error,
+	}
+	if ev.Steps > 0 {
+		rec.Plan = &PlanSummary{Strategy: ev.Strategy, Steps: ev.Steps, SubParts: ev.SubParts, MaxLevel: ev.MaxLevel}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := json.NewEncoder(l.w).Encode(rec); err != nil {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ping/internal/obs"
-	"ping/internal/sparql"
 )
 
 // Options configures a Profiler.
@@ -25,49 +24,6 @@ type Options struct {
 }
 
 const defaultMaxFingerprints = 512
-
-// Observation is one served query's outcome, as the caller saw it.
-type Observation struct {
-	// Latency is the query's total wall time.
-	Latency time.Duration
-	// Steps is how many progressive steps the run delivered.
-	Steps int
-	// Segments is how many run segments the query lineage took (1 = an
-	// uninterrupted run; >1 = paused and resumed via a cursor). Zero is
-	// treated as 1. A resumed lineage is observed ONCE, at completion,
-	// with its latency summed across segments — never once per segment.
-	Segments int
-	// StepsToFirstAnswer is the 1-based step that delivered the first
-	// answer (0: no answer was ever delivered).
-	StepsToFirstAnswer int
-	// CoverageAtFirstAnswer is the coverage of that step.
-	CoverageAtFirstAnswer float64
-	// Coverage is the per-step coverage curve of the run (optional; the
-	// latest curve is kept for the dashboard sparkline).
-	Coverage []float64
-	// Answers is the final answer count.
-	Answers int
-	// Epoch is the layout snapshot the run was pinned to.
-	Epoch uint64
-	// Degraded marks runs that skipped unreadable sub-partitions.
-	Degraded bool
-	// Error marks runs that failed outright.
-	Error bool
-
-	// Resource-ledger fields (prof.Snapshot), zero when unmeasured.
-	// TaskSeconds sums dataflow task wall time; RowsLoaded counts
-	// materialized sub-partition rows; BytesDecoded counts cache-miss
-	// decode output and StorageBytesRead raw dfs reads; CacheBytesPinned
-	// and PeakRelationRows are the run's peaks; DictDecodes counts
-	// ID→string decodes at result emission.
-	TaskSeconds      float64
-	RowsLoaded       int64
-	BytesDecoded     int64
-	StorageBytesRead int64
-	CacheBytesPinned int64
-	DictDecodes      int64
-	PeakRelationRows int64
-}
 
 // aggregate is the mutable per-fingerprint state; the profiler's mutex
 // guards it.
@@ -112,12 +68,6 @@ type Profiler struct {
 	byFp map[string]*aggregate
 	max  int
 
-	// profCPU holds profile-attributed CPU per fingerprint, fed by
-	// AddProfileCPU from parsed capture files. It is keyed independently
-	// of byFp because profile samples can land before the query's first
-	// observation; Snapshot joins the two at read time.
-	profCPU map[string]time.Duration
-
 	reg     *obs.Registry
 	fpGauge *obs.Gauge
 	dropped *obs.Counter
@@ -141,7 +91,6 @@ func NewProfiler(opts Options) *Profiler {
 	reg.Describe("workload_dropped_total", "observations dropped because the fingerprint store was full")
 	return &Profiler{
 		byFp:    make(map[string]*aggregate),
-		profCPU: make(map[string]time.Duration),
 		max:     max,
 		reg:     reg,
 		fpGauge: reg.Gauge("workload_fingerprints", nil),
@@ -149,19 +98,11 @@ func NewProfiler(opts Options) *Profiler {
 	}
 }
 
-// Observe folds one query outcome into the profiler and returns the
-// query's fingerprint.
-func (p *Profiler) Observe(q *sparql.Query, o Observation) string {
-	canonical := Canonical(q)
-	fp := FingerprintCanonical(canonical)
-	p.ObserveFingerprint(fp, canonical, sparql.Classify(q).String(), o)
-	return fp
-}
-
-// ObserveFingerprint is Observe for callers that already computed the
-// fingerprint (pingd computes it once per request and reuses it for the
-// slow-query log and the plan).
-func (p *Profiler) ObserveFingerprint(fp, canonical, shape string, o Observation) {
+// Observe folds one lineage's wide event into the aggregate of its
+// fingerprint. A resumed lineage is one event, observed once at
+// completion with its latency summed across segments.
+func (p *Profiler) Observe(ev obs.WideEvent) {
+	fp, latency := ev.Fingerprint, ev.Latency()
 	p.mu.Lock()
 	agg := p.byFp[fp]
 	if agg == nil {
@@ -171,10 +112,10 @@ func (p *Profiler) ObserveFingerprint(fp, canonical, shape string, o Observation
 			return
 		}
 		agg = &aggregate{
-			canonical: canonical,
-			shape:     shape,
-			min:       o.Latency,
-			queries:   p.reg.Counter("workload_queries_total", obs.Labels{"fingerprint": fp, "shape": shape}),
+			canonical: ev.Canonical,
+			shape:     ev.Shape,
+			min:       latency,
+			queries:   p.reg.Counter("workload_queries_total", obs.Labels{"fingerprint": fp, "shape": ev.Shape}),
 			seconds:   p.reg.Histogram("workload_query_seconds", obs.TimeBuckets, obs.Labels{"fingerprint": fp}),
 			errC:      p.reg.Counter("workload_errors_total", obs.Labels{"fingerprint": fp}),
 			degC:      p.reg.Counter("workload_degraded_total", obs.Labels{"fingerprint": fp}),
@@ -183,55 +124,56 @@ func (p *Profiler) ObserveFingerprint(fp, canonical, shape string, o Observation
 		p.fpGauge.Set(float64(len(p.byFp)))
 	}
 	agg.count++
-	agg.total += o.Latency
-	if o.Latency < agg.min {
-		agg.min = o.Latency
+	agg.total += latency
+	if latency < agg.min {
+		agg.min = latency
 	}
-	if o.Latency > agg.max {
-		agg.max = o.Latency
+	if latency > agg.max {
+		agg.max = latency
 	}
-	agg.steps += int64(o.Steps)
-	if o.Segments > 0 {
-		agg.segments += int64(o.Segments)
+	agg.steps += int64(ev.Steps)
+	if ev.Segments > 0 {
+		agg.segments += int64(ev.Segments)
 	} else {
 		agg.segments++
 	}
-	if o.StepsToFirstAnswer > 0 {
+	if ev.StepsToFirstAnswer > 0 {
 		agg.firstSeen++
-		agg.toFirst += int64(o.StepsToFirstAnswer)
-		agg.covAtFirst += o.CoverageAtFirstAnswer
+		agg.toFirst += int64(ev.StepsToFirstAnswer)
+		agg.covAtFirst += ev.CoverageAtFirst
 	}
-	if len(o.Coverage) > 0 {
-		agg.lastCov = append([]float64(nil), o.Coverage...)
+	if len(ev.Coverage) > 0 {
+		agg.lastCov = append([]float64(nil), ev.Coverage...)
 	}
-	agg.taskSeconds += o.TaskSeconds
-	agg.rowsLoaded += o.RowsLoaded
-	agg.bytesDecoded += o.BytesDecoded
-	agg.storageBytes += o.StorageBytesRead
-	if o.CacheBytesPinned > agg.cachePinnedPeak {
-		agg.cachePinnedPeak = o.CacheBytesPinned
+	agg.taskSeconds += ev.TaskMs / 1000
+	agg.rowsLoaded += ev.RowsLoaded
+	agg.bytesDecoded += ev.BytesDecoded
+	agg.storageBytes += ev.StorageBytesRead
+	if ev.CacheBytesPinned > agg.cachePinnedPeak {
+		agg.cachePinnedPeak = ev.CacheBytesPinned
 	}
-	agg.dictDecodes += o.DictDecodes
-	if o.PeakRelationRows > agg.peakRelationRows {
-		agg.peakRelationRows = o.PeakRelationRows
+	agg.dictDecodes += ev.DictDecodes
+	if ev.PeakRelationRows > agg.peakRelationRows {
+		agg.peakRelationRows = ev.PeakRelationRows
 	}
-	agg.lastEpoch = o.Epoch
-	agg.lastAnswers = o.Answers
-	if o.Error {
+	agg.lastEpoch = ev.Epoch
+	agg.lastAnswers = ev.Answers
+	failed := ev.Error != ""
+	if failed {
 		agg.errors++
 	}
-	if o.Degraded {
+	if ev.Degraded {
 		agg.degraded++
 	}
 	queries, seconds, errC, degC := agg.queries, agg.seconds, agg.errC, agg.degC
 	p.mu.Unlock()
 
 	queries.Inc()
-	seconds.Observe(o.Latency.Seconds())
-	if o.Error {
+	seconds.Observe(latency.Seconds())
+	if failed {
 		errC.Inc()
 	}
-	if o.Degraded {
+	if ev.Degraded {
 		degC.Inc()
 	}
 }
@@ -240,39 +182,16 @@ func (p *Profiler) ObserveFingerprint(fp, canonical, shape string, o Observation
 // fingerprint store was full.
 func (p *Profiler) Dropped() int64 { return p.dropped.Value() }
 
-// AddProfileCPU credits profile-attributed CPU time to a fingerprint.
-// The capturer calls this with each captured CPU profile's
-// label-aggregated samples; /resources then reports exactly what a
-// consumer re-parsing the profile files would compute. Fingerprints
-// beyond 4x the store bound are dropped to keep hostile label
-// cardinality from growing the map.
-func (p *Profiler) AddProfileCPU(fp string, d time.Duration) {
-	if fp == "" || d <= 0 {
-		return
-	}
-	p.mu.Lock()
-	if _, ok := p.profCPU[fp]; !ok && len(p.profCPU) >= 4*p.max {
-		p.mu.Unlock()
-		p.dropped.Inc()
-		return
-	}
-	p.profCPU[fp] += d
-	p.mu.Unlock()
-}
-
-// EstimateCost predicts one more run of this fingerprint's CPU cost,
-// preferring profile-attributed CPU (actual on-CPU time) and falling
-// back to the ledger's task seconds. Zero means "no measurement yet" —
-// cost-based admission must admit unknown fingerprints.
+// EstimateCost predicts the CPU cost of one more run of this
+// fingerprint: the ledger's task seconds per observed run. Zero means
+// "no measurement yet" — cost-based admission must admit unknown
+// fingerprints.
 func (p *Profiler) EstimateCost(fp string) time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	agg := p.byFp[fp]
 	if agg == nil || agg.count == 0 {
 		return 0
-	}
-	if cpu := p.profCPU[fp]; cpu > 0 {
-		return cpu / time.Duration(agg.count)
 	}
 	return time.Duration(agg.taskSeconds / float64(agg.count) * float64(time.Second))
 }
@@ -307,19 +226,17 @@ type FingerprintStats struct {
 	// LastEpoch and LastAnswers describe the latest run.
 	LastEpoch   uint64 `json:"last_epoch"`
 	LastAnswers int    `json:"last_answers"`
-	// Resource attribution (/resources). ProfileCPUSeconds is CPU from
-	// label-aggregated capture profiles; TaskSeconds is summed dataflow
-	// task wall time from the per-query ledger. The byte/row counters
-	// are lineage sums; CacheBytesPinned and PeakRelationRows are the
-	// worst single run observed.
-	ProfileCPUSeconds float64 `json:"profile_cpu_seconds,omitempty"`
-	TaskSeconds       float64 `json:"task_seconds,omitempty"`
-	RowsLoaded        int64   `json:"rows_loaded,omitempty"`
-	BytesDecoded      int64   `json:"bytes_decoded,omitempty"`
-	StorageBytesRead  int64   `json:"storage_bytes_read,omitempty"`
-	CacheBytesPinned  int64   `json:"cache_bytes_pinned,omitempty"`
-	DictDecodes       int64   `json:"dict_decodes,omitempty"`
-	PeakRelationRows  int64   `json:"peak_relation_rows,omitempty"`
+	// Resource attribution (/resources), from the per-query ledger.
+	// TaskSeconds is summed dataflow task wall time. The byte/row
+	// counters are lineage sums; CacheBytesPinned and PeakRelationRows
+	// are the worst single run observed.
+	TaskSeconds      float64 `json:"task_seconds,omitempty"`
+	RowsLoaded       int64   `json:"rows_loaded,omitempty"`
+	BytesDecoded     int64   `json:"bytes_decoded,omitempty"`
+	StorageBytesRead int64   `json:"storage_bytes_read,omitempty"`
+	CacheBytesPinned int64   `json:"cache_bytes_pinned,omitempty"`
+	DictDecodes      int64   `json:"dict_decodes,omitempty"`
+	PeakRelationRows int64   `json:"peak_relation_rows,omitempty"`
 }
 
 // Snapshot freezes every fingerprint's aggregate, sorted by total
@@ -347,14 +264,13 @@ func (p *Profiler) Snapshot() []FingerprintStats {
 			LastEpoch:   agg.lastEpoch,
 			LastAnswers: agg.lastAnswers,
 
-			ProfileCPUSeconds: p.profCPU[fp].Seconds(),
-			TaskSeconds:       agg.taskSeconds,
-			RowsLoaded:        agg.rowsLoaded,
-			BytesDecoded:      agg.bytesDecoded,
-			StorageBytesRead:  agg.storageBytes,
-			CacheBytesPinned:  agg.cachePinnedPeak,
-			DictDecodes:       agg.dictDecodes,
-			PeakRelationRows:  agg.peakRelationRows,
+			TaskSeconds:      agg.taskSeconds,
+			RowsLoaded:       agg.rowsLoaded,
+			BytesDecoded:     agg.bytesDecoded,
+			StorageBytesRead: agg.storageBytes,
+			CacheBytesPinned: agg.cachePinnedPeak,
+			DictDecodes:      agg.dictDecodes,
+			PeakRelationRows: agg.peakRelationRows,
 		}
 		if agg.count > 0 {
 			st.MeanMs = st.TotalMs / float64(agg.count)
@@ -394,17 +310,12 @@ func (p *Profiler) Top(n int) []FingerprintStats {
 	return snap
 }
 
-// TopByCost returns up to n snapshot entries ordered by measured CPU
-// cost: profile-attributed CPU seconds first, task seconds as the
-// tie-break for fingerprints no profile sample hit, then total latency
-// and fingerprint for determinism — the /resources "top consumers"
-// ordering.
+// TopByCost returns up to n snapshot entries ordered by the ledger's
+// task seconds, then total latency and fingerprint for determinism —
+// the /resources "top consumers" ordering.
 func (p *Profiler) TopByCost(n int) []FingerprintStats {
 	snap := p.Snapshot()
 	sort.Slice(snap, func(i, j int) bool {
-		if snap[i].ProfileCPUSeconds != snap[j].ProfileCPUSeconds {
-			return snap[i].ProfileCPUSeconds > snap[j].ProfileCPUSeconds
-		}
 		if snap[i].TaskSeconds != snap[j].TaskSeconds {
 			return snap[i].TaskSeconds > snap[j].TaskSeconds
 		}
@@ -438,10 +349,11 @@ func WriteNDJSON(w io.Writer, stats []FingerprintStats) error {
 }
 
 // ReadNDJSON parses a snapshot written by WriteNDJSON. Blank lines are
-// skipped; any other malformed line is an error.
+// skipped; any other malformed line is an error. A line carries the
+// canonical query text once, so the wide-event line bound covers it.
 func ReadNDJSON(r io.Reader) ([]FingerprintStats, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), obs.MaxEventLine)
 	var out []FingerprintStats
 	for sc.Scan() {
 		line := sc.Bytes()

@@ -62,6 +62,16 @@ func TestCanonicalAlphaEquivalence(t *testing.T) {
 	}
 }
 
+// observe folds ev into p under q's identity and returns q's
+// fingerprint, as pingd stamps every lineage's event.
+func observe(p *Profiler, q *sparql.Query, ev obs.WideEvent) string {
+	ev.Canonical = Canonical(q)
+	ev.Fingerprint = FingerprintCanonical(ev.Canonical)
+	ev.Shape = sparql.Classify(q).String()
+	p.Observe(ev)
+	return ev.Fingerprint
+}
+
 func TestProfilerAggregation(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := NewProfiler(Options{Metrics: reg})
@@ -69,20 +79,20 @@ func TestProfilerAggregation(t *testing.T) {
 	a := sparql.MustParse(`SELECT * WHERE { ?x <occursIn> ?org }`)
 	b := sparql.MustParse(`SELECT * WHERE { ?subject <occursIn> ?place }`)
 
-	fpA := p.Observe(a, Observation{
-		Latency: 10 * time.Millisecond, Steps: 3, StepsToFirstAnswer: 1,
-		CoverageAtFirstAnswer: 0.5, Coverage: []float64{0.5, 0.8, 1}, Answers: 10, Epoch: 1,
+	fpA := observe(p, a, obs.WideEvent{
+		LatencyMs: 10, Steps: 3, StepsToFirstAnswer: 1,
+		CoverageAtFirst: 0.5, Coverage: []float64{0.5, 0.8, 1}, Answers: 10, Epoch: 1,
 	})
-	fpB := p.Observe(b, Observation{
-		Latency: 30 * time.Millisecond, Steps: 3, StepsToFirstAnswer: 3,
-		CoverageAtFirstAnswer: 1, Coverage: []float64{0, 0, 1}, Answers: 12, Epoch: 2, Degraded: true,
+	fpB := observe(p, b, obs.WideEvent{
+		LatencyMs: 30, Steps: 3, StepsToFirstAnswer: 3,
+		CoverageAtFirst: 1, Coverage: []float64{0, 0, 1}, Answers: 12, Epoch: 2, Degraded: true,
 	})
 	if fpA != fpB {
 		t.Fatalf("α-equivalent queries got different fingerprints: %s vs %s", fpA, fpB)
 	}
 
 	other := sparql.MustParse(`SELECT * WHERE { ?x <reference> ?y }`)
-	p.Observe(other, Observation{Latency: 1 * time.Millisecond, Steps: 1, Error: true})
+	observe(p, other, obs.WideEvent{LatencyMs: 1, Steps: 1, Error: "boom"})
 
 	snap := p.Snapshot()
 	if len(snap) != 2 {
@@ -144,7 +154,7 @@ func TestProfilerBounded(t *testing.T) {
 		`SELECT * WHERE { ?x <d> ?y }`,
 	}
 	for _, qs := range queries {
-		p.Observe(sparql.MustParse(qs), Observation{Latency: time.Millisecond})
+		observe(p, sparql.MustParse(qs), obs.WideEvent{LatencyMs: 1})
 	}
 	if got := len(p.Snapshot()); got != 2 {
 		t.Fatalf("tracked %d fingerprints, want bound 2", got)
@@ -153,7 +163,7 @@ func TestProfilerBounded(t *testing.T) {
 		t.Fatalf("dropped %d, want 2", p.Dropped())
 	}
 	// An already-tracked fingerprint still aggregates at the bound.
-	p.Observe(sparql.MustParse(queries[0]), Observation{Latency: time.Millisecond})
+	observe(p, sparql.MustParse(queries[0]), obs.WideEvent{LatencyMs: 1})
 	found := false
 	for _, st := range p.Snapshot() {
 		if st.Count == 2 {
@@ -168,12 +178,12 @@ func TestProfilerBounded(t *testing.T) {
 func TestNDJSONRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := NewProfiler(Options{Metrics: reg})
-	p.Observe(sparql.MustParse(`SELECT * WHERE { ?x <a> ?y }`), Observation{
-		Latency: 5 * time.Millisecond, Steps: 2, StepsToFirstAnswer: 1,
-		CoverageAtFirstAnswer: 0.4, Coverage: []float64{0.4, 1}, Answers: 7, Epoch: 3,
+	observe(p, sparql.MustParse(`SELECT * WHERE { ?x <a> ?y }`), obs.WideEvent{
+		LatencyMs: 5, Steps: 2, StepsToFirstAnswer: 1,
+		CoverageAtFirst: 0.4, Coverage: []float64{0.4, 1}, Answers: 7, Epoch: 3,
 	})
-	p.Observe(sparql.MustParse(`SELECT * WHERE { ?x <b> ?y . ?y <c> ?z }`), Observation{
-		Latency: 50 * time.Millisecond, Steps: 4, Degraded: true,
+	observe(p, sparql.MustParse(`SELECT * WHERE { ?x <b> ?y . ?y <c> ?z }`), obs.WideEvent{
+		LatencyMs: 50, Steps: 4, Degraded: true,
 	})
 
 	var buf bytes.Buffer
@@ -214,27 +224,52 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNDJSONReadsLargeCanonical: a snapshot line of a query near the
+// request body cap reads back. JSON escapes each < and > of its
+// canonical text to six bytes, so this line is about 1.2 MB.
+func TestNDJSONReadsLargeCanonical(t *testing.T) {
+	p := NewProfiler(Options{Metrics: obs.NewRegistry()})
+	q := sparql.MustParse(`SELECT * WHERE { ?x <p> "` + strings.Repeat("<>", 100_000) + `" }`)
+	observe(p, q, obs.WideEvent{LatencyMs: 1, Steps: 1})
+	var buf bytes.Buffer
+	if err := p.WriteNDJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() < 1<<20 {
+		t.Fatalf("snapshot line is %d bytes, want > 1 MiB (the test is vacuous)", buf.Len())
+	}
+	got, err := ReadNDJSON(&buf)
+	if err != nil || len(got) != 1 || got[0].Canonical != Canonical(q) {
+		t.Fatalf("read back: %v (%d entries)", err, len(got))
+	}
+}
+
 // TestSlowLogThreshold is the acceptance criterion: exactly one NDJSON
 // record for a query over the threshold, none below.
 func TestSlowLogThreshold(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewSlowLog(&buf, 10*time.Millisecond)
 
-	rec := SlowQuery{
+	ev := obs.WideEvent{
 		Fingerprint: "deadbeefdeadbeef",
 		Query:       `SELECT * WHERE { ?x <a> ?y }`,
 		Epoch:       4,
-		Plan:        &PlanSummary{Strategy: "level-cumulative", Steps: 3, SubParts: 5, MaxLevel: 3},
+		Strategy:    "level-cumulative",
+		Steps:       3,
+		SubParts:    5,
+		MaxLevel:    3,
 		StepMs:      []float64{1, 2, 9},
 		Answers:     42,
+		LatencyMs:   5,
 	}
-	if l.Observe(rec, 5*time.Millisecond) {
+	if l.Observe(ev) {
 		t.Fatal("below-threshold query was logged")
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("below-threshold query wrote %q", buf.String())
 	}
-	if !l.Observe(rec, 15*time.Millisecond) {
+	ev.LatencyMs = 15
+	if !l.Observe(ev) {
 		t.Fatal("over-threshold query was not logged")
 	}
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
@@ -245,7 +280,7 @@ func TestSlowLogThreshold(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &got); err != nil {
 		t.Fatalf("record is not valid JSON: %v", err)
 	}
-	if got.Fingerprint != rec.Fingerprint || got.Epoch != 4 || got.Answers != 42 {
+	if got.Fingerprint != ev.Fingerprint || got.Epoch != 4 || got.Answers != 42 {
 		t.Errorf("record %+v lost fields", got)
 	}
 	if got.LatencyMs != 15 || got.ThresholdMs != 10 {
@@ -254,7 +289,7 @@ func TestSlowLogThreshold(t *testing.T) {
 	if got.Time == "" {
 		t.Error("record missing timestamp")
 	}
-	if got.Plan == nil || got.Plan.Steps != 3 {
+	if want := (PlanSummary{Strategy: "level-cumulative", Steps: 3, SubParts: 5, MaxLevel: 3}); got.Plan == nil || *got.Plan != want {
 		t.Errorf("plan summary %+v", got.Plan)
 	}
 	if len(got.StepMs) != 3 {
@@ -266,7 +301,8 @@ func TestSlowLogThreshold(t *testing.T) {
 
 	// Nil log is inert.
 	var nl *SlowLog
-	if nl.Observe(rec, time.Hour) || nl.Emitted() != 0 {
+	ev.LatencyMs = float64(time.Hour.Milliseconds())
+	if nl.Observe(ev) || nl.Emitted() != 0 {
 		t.Fatal("nil SlowLog should be inert")
 	}
 }
@@ -283,8 +319,8 @@ func TestResumedLineageCountsOnce(t *testing.T) {
 
 	// An uninterrupted run, then a 3-segment lineage of the same shape
 	// (10+20+30ms segments observed once, summed).
-	p.Observe(q, Observation{Latency: 5 * time.Millisecond, Steps: 4, Segments: 1})
-	p.Observe(q, Observation{Latency: 60 * time.Millisecond, Steps: 4, Segments: 3})
+	observe(p, q, obs.WideEvent{LatencyMs: 5, Steps: 4, Segments: 1})
+	observe(p, q, obs.WideEvent{LatencyMs: 60, Steps: 4, Segments: 3})
 
 	snap := p.Snapshot()
 	if len(snap) != 1 {
@@ -319,7 +355,7 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 		for i, n := range []int{2, 2, 1, 1, 2, 1} {
 			q := sparql.MustParse(fmt.Sprintf(`SELECT * WHERE { ?x <p%d> ?y }`, i))
 			for j := 0; j < n; j++ {
-				p.Observe(q, Observation{Steps: 1})
+				observe(p, q, obs.WideEvent{Steps: 1})
 			}
 		}
 		return p
