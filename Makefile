@@ -3,13 +3,13 @@ GO ?= go
 # Minimum statement coverage (%) for internal/obs enforced by `make cover`.
 OBS_COVER_MIN ?= 80
 
-.PHONY: check build vet fmt test race bench benchmark bench-json bench-compare bench-gate cover workload-report advise-report fuzz noskip lint loc
+.PHONY: check build vet fmt test race benchmark cover workload-report advise-report fuzz noskip lint loc
 
 # check is the full gate: build, vet, formatting, the race-enabled test
-# suite, the coverage floor, the no-skip guard on the SLO and wide-event
-# suites, and the benchmark regression gate. CI and pre-commit should
-# run `make check`.
-check: build vet fmt race cover noskip bench-gate
+# suite (which includes the exact-count gate, internal/ping's
+# counts_test.go), the coverage floor, and the no-skip guard on the SLO
+# and wide-event suites. CI and pre-commit should run `make check`.
+check: build vet fmt race cover noskip
 
 build:
 	$(GO) build ./...
@@ -61,85 +61,6 @@ fuzz:
 BENCH_ARGS ?=
 benchmark:
 	$(GO) run ./benchmark $(BENCH_ARGS)
-
-bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' .
-
-# bench-json writes machine-readable per-query trajectories (step
-# latencies, coverage curve, exact-answer time) as bench/BENCH_<ds>.json,
-# and captures CPU+heap profiles of the run into bench/profiles (their
-# samples carry query_fp/stage labels: `go tool pprof -tags
-# bench/profiles/cpu.pprof*`).
-bench-json:
-	$(GO) run ./cmd/pingbench -exp none -json-out bench -datasets uniprot,shop -scale 0.5 \
-		-profile-dir bench/profiles -profile-interval 10s -profile-cpu-window 3s
-
-# bench-compare benchmarks HEAD against the uncommitted working tree:
-# the dirty changes are stashed, the baseline run recorded, the stash
-# popped, the candidate run recorded, and the per-benchmark deltas
-# printed side by side. Tune the benchmark subset with BENCH (regexp)
-# and repetitions with BENCHTIME.
-BENCH ?= .
-BENCHTIME ?= 3x
-bench-compare:
-	@if git diff --quiet && git diff --cached --quiet; then \
-		echo "working tree is clean — nothing to compare against HEAD"; exit 1; \
-	fi
-	@echo "== baseline (HEAD) =="
-	@git stash push --quiet --include-untracked -- ':!bench-*.txt' && \
-	{ $(GO) test -bench='$(BENCH)' -benchtime=$(BENCHTIME) -run='^$$' . | tee bench-baseline.txt; \
-	  git stash pop --quiet; }
-	@echo "== candidate (working tree) =="
-	@$(GO) test -bench='$(BENCH)' -benchtime=$(BENCHTIME) -run='^$$' . | tee bench-candidate.txt
-	@echo "== delta (ns/op, candidate vs baseline) =="
-	@awk 'FNR==NR { if ($$1 ~ /^Benchmark/) base[$$1]=$$3; next } \
-	  $$1 ~ /^Benchmark/ { \
-	    if ($$1 in base && base[$$1]+0 > 0) \
-	      printf "%-60s %12.0f -> %12.0f  (%+.1f%%)\n", $$1, base[$$1], $$3, 100*($$3-base[$$1])/base[$$1]; \
-	    else printf "%-60s %25s %12.0f  (new)\n", $$1, "", $$3 }' \
-	  bench-baseline.txt bench-candidate.txt
-
-# bench-gate is the perf regression gate on the PQA-critical kernels:
-# incremental PQA, pair-block pack/decode, dictionary lookup and
-# resident footprint, the join and distinct kernels, and columnar Auto
-# selection. Any of them slowing down by more than GATE_TOLERANCE
-# percent (best-of-GATE_COUNT ns/op) fails the build. The baseline is
-# measured from HEAD on first run — dirty changes are stashed around
-# it — and cached in bench-gate-baseline.txt, which is git-ignored so
-# every machine calibrates against itself rather than numbers from
-# foreign hardware. Delete the file to re-baseline. On a clean tree
-# (CI) baseline and candidate coincide, and the gate degrades into a
-# smoke run that keeps the benchmarks compiling and finishing.
-GATE_BENCH ?= BenchmarkPQAIncremental|BenchmarkPairBlock|BenchmarkDictLookup|BenchmarkDictResidentFootprint|BenchmarkEngineJoin|BenchmarkRelationDistinct|BenchmarkAutoEncode|BenchmarkColumnarEncodeDecode
-GATE_TOLERANCE ?= 20
-GATE_COUNT ?= 3
-GATE_BENCHTIME ?= 50x
-GATE_PKGS ?= . ./internal/columnar/
-bench-gate:
-	@if [ ! -f bench-gate-baseline.txt ]; then \
-		echo "== bench-gate: no baseline, measuring HEAD =="; \
-		if git diff --quiet && git diff --cached --quiet; then \
-			$(GO) test -bench='$(GATE_BENCH)' -benchtime=$(GATE_BENCHTIME) -count=$(GATE_COUNT) -run='^$$' $(GATE_PKGS) > bench-gate-baseline.txt; \
-		else \
-			git stash push --quiet --include-untracked -- ':!bench-gate-*.txt' && \
-			{ $(GO) test -bench='$(GATE_BENCH)' -benchtime=$(GATE_BENCHTIME) -count=$(GATE_COUNT) -run='^$$' $(GATE_PKGS) > bench-gate-baseline.txt || true; \
-			  git stash pop --quiet; }; \
-		fi; \
-	fi
-	@echo "== bench-gate: candidate (working tree) =="
-	@$(GO) test -bench='$(GATE_BENCH)' -benchtime=$(GATE_BENCHTIME) -count=$(GATE_COUNT) -run='^$$' $(GATE_PKGS) > bench-gate-candidate.txt
-	@awk -v tol=$(GATE_TOLERANCE) ' \
-	  FNR==NR { if ($$1 ~ /^Benchmark/ && (!($$1 in base) || $$3+0 < base[$$1]+0)) base[$$1]=$$3; next } \
-	  $$1 ~ /^Benchmark/ { if (!($$1 in cand) || $$3+0 < cand[$$1]+0) cand[$$1]=$$3 } \
-	  END { bad=0; \
-	    for (b in cand) { \
-	      if (!(b in base) || base[b]+0 <= 0) { printf "%-64s %38.0f  (new)\n", b, cand[b]; continue } \
-	      d = 100*(cand[b]-base[b])/base[b]; \
-	      printf "%-64s %12.0f -> %12.0f  (%+.1f%%)\n", b, base[b], cand[b], d; \
-	      if (d > tol+0) bad++ } \
-	    if (bad) { printf "bench-gate: %d benchmark(s) regressed more than %d%%\n", bad, tol; exit 1 } \
-	    print "bench-gate: no regression beyond " tol "%" }' \
-	  bench-gate-baseline.txt bench-gate-candidate.txt
 
 # workload-report prints the top-N query fingerprints of a workload
 # snapshot (pingd -workload-out, or /workload?format=ndjson).

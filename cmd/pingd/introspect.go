@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,15 +17,40 @@ import (
 	"ping/internal/workload"
 )
 
-// queryText extracts the SPARQL text of an introspection request from
-// ?q= or the request body.
-func queryText(r *http.Request) string {
+// queryText extracts the SPARQL text of a request from ?q= or the
+// request body. When there is none, or the body is longer than
+// obs.MaxQueryBytes, it answers the request (400 or 413) and returns
+// false. A body is refused rather than cut, because a cut query is a
+// different query.
+func queryText(w http.ResponseWriter, r *http.Request) (string, bool) {
 	text := r.URL.Query().Get("q")
 	if text == "" && r.Body != nil {
-		body, _ := io.ReadAll(io.LimitReader(r.Body, obs.MaxQueryBytes))
+		body, err := readCapped(w, r, obs.MaxQueryBytes)
+		if err != nil {
+			return "", false
+		}
 		text = string(body)
 	}
-	return text
+	if text == "" {
+		http.Error(w, "missing query: pass ?q= or a request body", http.StatusBadRequest)
+		return "", false
+	}
+	return text, true
+}
+
+// readCapped reads the whole request body, or answers the request and
+// returns the error: 413 when the body is longer than limit, else 400.
+func readCapped(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("read body: %v", err), code)
+	}
+	return body, err
 }
 
 // handleExplain serves query plans. By default the plan is static
@@ -33,9 +59,8 @@ func queryText(r *http.Request) string {
 // through the same admission control as /query. ?format=text renders
 // the human-readable form; the default is indented JSON.
 func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	text := queryText(r)
-	if text == "" {
-		http.Error(w, "missing query: pass ?q= or a request body", http.StatusBadRequest)
+	text, ok := queryText(w, r)
+	if !ok {
 		return
 	}
 	q, err := sparql.Parse(text)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -783,9 +784,8 @@ func (s *server) recordLineage(ev obs.WideEvent) {
 // ?max_steps=/?max_rows=/?deadline= bound the segment, pausing with a
 // cursor at the budget boundary.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	text := queryText(r)
-	if text == "" {
-		http.Error(w, "missing query: pass ?q= or a request body", http.StatusBadRequest)
+	text, ok := queryText(w, r)
+	if !ok {
 		return
 	}
 	q, err := sparql.Parse(text)
@@ -1027,11 +1027,15 @@ type updateResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
+// maxUpdateBytes caps the N-Triples body of one /update request; a
+// longer body gets 413 and publishes nothing.
+const maxUpdateBytes = 16 << 20
+
 // handleUpdate applies one maintenance batch and publishes it as a new
-// epoch. The body is N-Triples; ?op=add (default) or ?op=remove selects
-// the direction. Readers are never blocked: in-flight queries keep their
-// pinned snapshots, and the new epoch is visible to queries admitted
-// after this returns.
+// epoch. The body is N-Triples of at most maxUpdateBytes; ?op=add
+// (default) or ?op=remove selects the direction. Readers are never
+// blocked: in-flight queries keep their pinned snapshots, and the new
+// epoch is visible to queries admitted after this returns.
 func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost && r.Method != http.MethodPut {
 		http.Error(w, "POST an N-Triples body", http.StatusMethodNotAllowed)
@@ -1046,6 +1050,13 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The whole body is read before any of it is parsed, so a body over
+	// the cap interns no term and publishes no epoch.
+	body, err := readCapped(w, r, maxUpdateBytes)
+	if err != nil {
+		return
+	}
+
 	// Single writer: one batch at a time, one maintainer per store.
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
@@ -1053,7 +1064,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// Interning terms grows the shared dictionary, which is append-only
 	// and thread-safe — concurrent queries are unaffected.
 	g := &rdf.Graph{Dict: s.store.Current().Dict}
-	if err := rdf.ParseNTriplesInto(r.Body, g); err != nil {
+	if err := rdf.ParseNTriplesInto(bytes.NewReader(body), g); err != nil {
 		http.Error(w, fmt.Sprintf("parse body: %v", err), http.StatusBadRequest)
 		return
 	}

@@ -2,7 +2,7 @@
 // the benchmark datasets, builds PING's partitioning and the S2RDF/WORQ
 // baselines, runs the workloads, and renders every table and figure of
 // the paper as text reports. cmd/pingbench exposes the experiments on the
-// command line and bench_test.go wraps them as testing.B benchmarks.
+// command line.
 package harness
 
 import (

@@ -24,11 +24,6 @@ type CaptureConfig struct {
 	// 3). Disk usage is bounded by 2 kinds x (MaxFiles+1 files) x the
 	// largest single profile.
 	MaxFiles int
-	// CaptureOnStart opens a capture window immediately instead of
-	// waiting for the first interval tick. Short-lived processes
-	// (benchmark runs) use this so a run shorter than Interval still
-	// leaves a profile behind: Close keeps the partial window.
-	CaptureOnStart bool
 	// Registry receives prof_* capture counters (nil: obs.Default).
 	Registry *obs.Registry
 }
@@ -107,9 +102,6 @@ func StartCapture(cfg CaptureConfig) (*Capturer, error) {
 
 func (c *Capturer) loop() {
 	defer close(c.done)
-	if c.cfg.CaptureOnStart {
-		c.CaptureOnce()
-	}
 	t := time.NewTicker(c.cfg.Interval)
 	defer t.Stop()
 	for {

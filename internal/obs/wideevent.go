@@ -101,7 +101,7 @@ type WideEvent struct {
 }
 
 // MaxQueryBytes caps the SPARQL text a server reads from one request
-// (pingd's ?q= or request body); longer bodies are cut there.
+// body; pingd refuses a longer body with 413 rather than cut it.
 const MaxQueryBytes = 1 << 20
 
 // MaxEventLine bounds one line of a wide-event stream, so a corrupt
@@ -111,8 +111,12 @@ const MaxQueryBytes = 1 << 20
 // escapes <, > and & as \u003c). Two fully escaped texts of the capped
 // length take 12 MiB. The other 4 MiB cover the fields that do not
 // scale with the text and a canonical form somewhat longer than the
-// text (variables renamed to ?vN). A canonical form that expands one
-// long PREFIX many times can still exceed the bound.
+// text (variables renamed to ?vN). A canonical form writes prefixed
+// names in full; sparql.Parse refuses a query whose prefixed names
+// expand past sparql.MaxExpansion (16) times its text, so an event
+// grows at most linearly in its text. Only a text far above the usual
+// size that expands its prefixes close to that bound can still pass
+// this line bound, and the reader then refuses the line.
 const MaxEventLine = 16 * MaxQueryBytes
 
 // Latency returns LatencyMs as a duration, rounded to the nanosecond.

@@ -17,13 +17,41 @@ import (
 // Triple-pattern terms may be IRIs (<...> or prefixed names), literals,
 // blank nodes, variables, or the keyword 'a' (rdf:type) in the predicate
 // position.
+//
+// A query costs at most a constant times its length to parse and to
+// render. Parse refuses with a *LimitError a query whose prefixed names
+// expand to more than MaxExpansion times its length, or whose filters
+// or property paths nest deeper than MaxDepth.
 func Parse(input string) (*Query, error) {
-	p := &parser{toks: tokenize(input)}
+	p := &parser{in: input, budget: MaxExpansion * len(input)}
 	q, err := p.parseQuery()
 	if err != nil {
 		return nil, fmt.Errorf("sparql: %w", err)
 	}
 	return q, nil
+}
+
+// MaxExpansion bounds the IRI bytes a query's prefixed names expand to,
+// counted once per use (as String and the workload canonical form write
+// them), as a multiple of the query's length.
+const MaxExpansion = 16
+
+// MaxDepth bounds the nesting of parentheses and '!' in a filter or a
+// property path, both as written and as String renders it.
+const MaxDepth = 64
+
+// LimitError reports a query refused by one of the parser's bounds
+// rather than by its syntax.
+type LimitError struct {
+	// What names the bound: "expanded IRI bytes" or "nesting depth".
+	What  string
+	Limit int
+	// Offset is where in the query the bound was passed.
+	Offset int
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("%s over the limit of %d at offset %d", e.What, e.Limit, e.Offset)
 }
 
 // MustParse is Parse that panics on error; intended for tests, examples,
@@ -41,83 +69,88 @@ type token struct {
 	pos  int
 }
 
-// tokenize splits the input into tokens. IRIs and literals are kept whole;
-// punctuation characters {, }, ., ;, and , are their own tokens.
-func tokenize(in string) []token {
-	var toks []token
-	i := 0
+// scan returns the token at p.off and moves past it. IRIs and literals
+// are kept whole; punctuation characters {, }, ., ;, and , are their
+// own tokens. Tokens are read on demand, so a query refused part way
+// never tokenizes the rest of its text.
+func (p *parser) scan() (token, bool) {
+	in, i := p.in, p.off
 	for i < len(in) {
-		c := in[i]
-		switch {
+		switch c := in[i]; {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
 		case c == '#': // comment to end of line
 			for i < len(in) && in[i] != '\n' {
 				i++
 			}
-		case c == '<':
-			// '<' opens an IRI unless whitespace intervenes before '>',
-			// in which case it is the less-than operator (FILTER).
-			j := strings.IndexByte(in[i:], '>')
-			ws := strings.IndexAny(in[i:], " \t\n\r")
-			if j < 0 || (ws >= 0 && ws < j) {
-				if i+1 < len(in) && in[i+1] == '=' {
-					toks = append(toks, token{"<=", i})
-					i += 2
-				} else {
-					toks = append(toks, token{"<", i})
-					i++
-				}
-			} else {
-				toks = append(toks, token{in[i : i+j+1], i})
-				i += j + 1
-			}
-		case c == '"':
-			j := i + 1
-			for j < len(in) {
-				if in[j] == '\\' {
-					j += 2
-					continue
-				}
-				if in[j] == '"' {
-					break
-				}
-				j++
-			}
-			if j >= len(in) {
-				toks = append(toks, token{in[i:], i})
-				i = len(in)
-				break
-			}
-			j++ // past closing quote
-			// Absorb @lang or ^^<datatype>.
-			if j < len(in) && in[j] == '@' {
-				for j < len(in) && !isDelim(in[j]) && in[j] != ' ' {
-					j++
-				}
-			} else if strings.HasPrefix(in[j:], "^^<") {
-				if k := strings.IndexByte(in[j:], '>'); k >= 0 {
-					j += k + 1
-				} else {
-					j = len(in)
-				}
-			}
-			toks = append(toks, token{in[i:j], i})
-			i = j
-		case c == '{' || c == '}' || c == '.' || c == ';' || c == ',' ||
-			c == '(' || c == ')' || c == '|' || c == '/' || c == '+' || c == '*':
-			toks = append(toks, token{string(c), i})
-			i++
 		default:
-			j := i
-			for j < len(in) && !isBreak(in[j]) {
-				j++
-			}
-			toks = append(toks, token{in[i:j], i})
-			i = j
+			j := tokenEnd(in, i)
+			p.off = j
+			return token{in[i:j], i}, true
 		}
 	}
-	return toks
+	p.off = i
+	return token{}, false
+}
+
+// tokenEnd returns the end of the token that starts at in[i], which is
+// not white space.
+func tokenEnd(in string, i int) int {
+	switch c := in[i]; {
+	case c == '<':
+		// '<' opens an IRI unless white space or the end of the text
+		// comes before '>', in which case it is the less-than operator
+		// (FILTER).
+		for j := i + 1; j < len(in); j++ {
+			if c := in[j]; c == '>' {
+				return j + 1
+			} else if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
+				break
+			}
+		}
+		if i+1 < len(in) && in[i+1] == '=' {
+			return i + 2
+		}
+		return i + 1
+	case c == '"':
+		j := i + 1
+		for j < len(in) {
+			if in[j] == '\\' {
+				j += 2
+				continue
+			}
+			if in[j] == '"' {
+				break
+			}
+			j++
+		}
+		if j >= len(in) {
+			return len(in)
+		}
+		j++ // past closing quote
+		// Absorb @lang or ^^<datatype>.
+		if j < len(in) && in[j] == '@' {
+			for j < len(in) && !isDelim(in[j]) && in[j] != ' ' {
+				j++
+			}
+		} else if strings.HasPrefix(in[j:], "^^<") {
+			if k := strings.IndexByte(in[j:], '>'); k >= 0 {
+				j += k + 1
+			} else {
+				j = len(in)
+			}
+		}
+		return j
+	case c == '{' || c == '}' || c == '.' || c == ';' || c == ',' ||
+		c == '(' || c == ')' || c == '|' || c == '/' || c == '+' || c == '*':
+		return i + 1
+	default:
+		j := i
+		for j < len(in) && !isBreak(in[j]) {
+			j++
+		}
+		return j
+	}
 }
 
 func isDelim(c byte) bool {
@@ -131,25 +164,48 @@ func isBreak(c byte) bool {
 }
 
 type parser struct {
-	toks     []token
-	pos      int
+	in  string
+	off int
+	// la is the token read ahead of the parse position, if hasLA.
+	la    token
+	hasLA bool
+
 	prefixes map[string]string
+	// iris interns each distinct prefixed name once per parse; budget
+	// is what is left of the expansion bound; depth is the current
+	// nesting of parentheses and '!'.
+	iris   map[string]rdf.Term
+	budget int
+	depth  int
 }
 
 func (p *parser) peek() (token, bool) {
-	if p.pos < len(p.toks) {
-		return p.toks[p.pos], true
+	if !p.hasLA {
+		p.la, p.hasLA = p.scan()
 	}
-	return token{}, false
+	return p.la, p.hasLA
 }
+
+// skip drops the token peek returned.
+func (p *parser) skip() { p.hasLA = false }
 
 func (p *parser) next() (token, bool) {
 	t, ok := p.peek()
 	if ok {
-		p.pos++
+		p.skip()
 	}
 	return t, ok
 }
+
+// enter descends one level of nesting at t; leave undoes it.
+func (p *parser) enter(t token) error {
+	if p.depth++; p.depth > MaxDepth {
+		return &LimitError{What: "nesting depth", Limit: MaxDepth, Offset: t.pos}
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) expect(text string) error {
 	t, ok := p.next()
@@ -174,7 +230,7 @@ func (p *parser) parseQuery() (*Query, error) {
 		if !strings.EqualFold(t.text, "PREFIX") {
 			break
 		}
-		p.pos++
+		p.skip()
 		if err := p.parsePrefix(); err != nil {
 			return nil, err
 		}
@@ -185,7 +241,7 @@ func (p *parser) parseQuery() (*Query, error) {
 	q := &Query{}
 	if t, ok := p.peek(); ok && strings.EqualFold(t.text, "DISTINCT") {
 		q.Distinct = true
-		p.pos++
+		p.skip()
 	}
 	// Projection.
 	for {
@@ -197,7 +253,7 @@ func (p *parser) parseQuery() (*Query, error) {
 			if len(q.Vars) > 0 {
 				return nil, fmt.Errorf("cannot mix * with explicit variables")
 			}
-			p.pos++
+			p.skip()
 			break
 		}
 		if strings.HasPrefix(t.text, "?") || strings.HasPrefix(t.text, "$") {
@@ -205,7 +261,7 @@ func (p *parser) parseQuery() (*Query, error) {
 				return nil, fmt.Errorf("empty variable at offset %d", t.pos)
 			}
 			q.Vars = append(q.Vars, t.text[1:])
-			p.pos++
+			p.skip()
 			continue
 		}
 		if strings.EqualFold(t.text, "WHERE") {
@@ -217,7 +273,7 @@ func (p *parser) parseQuery() (*Query, error) {
 		return nil, fmt.Errorf("unexpected token %q in projection", t.text)
 	}
 	if t, ok := p.peek(); ok && strings.EqualFold(t.text, "WHERE") {
-		p.pos++
+		p.skip()
 	}
 	if err := p.expect("{"); err != nil {
 		return nil, err
@@ -227,7 +283,7 @@ func (p *parser) parseQuery() (*Query, error) {
 	}
 	// Optional LIMIT.
 	if t, ok := p.peek(); ok && strings.EqualFold(t.text, "LIMIT") {
-		p.pos++
+		p.skip()
 		lt, ok := p.next()
 		if !ok {
 			return nil, fmt.Errorf("LIMIT without a value")
@@ -249,6 +305,7 @@ func (p *parser) parseQuery() (*Query, error) {
 
 // parseFilter parses FILTER '(' expr ')'.
 func (p *parser) parseFilter() (Expr, error) {
+	t, _ := p.peek()
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
@@ -259,7 +316,33 @@ func (p *parser) parseFilter() (Expr, error) {
 	if err := p.expect(")"); err != nil {
 		return nil, err
 	}
+	// String wraps every part of && and || in parentheses and writes
+	// ! as !( ), so the rendering can nest deeper than the text did.
+	// Bounding that depth too keeps every accepted query's rendering
+	// parseable.
+	if renderDepth(expr) > MaxDepth {
+		return nil, &LimitError{What: "nesting depth", Limit: MaxDepth, Offset: t.pos}
+	}
 	return expr, nil
+}
+
+// renderDepth is the nesting of parentheses and '!' in e.String(). The
+// parser's own depth bound keeps e shallow enough to walk.
+func renderDepth(e Expr) int {
+	var parts []Expr
+	switch e := e.(type) {
+	case Not:
+		return 2 + renderDepth(e.Sub)
+	case And:
+		parts = e.Parts
+	case Or:
+		parts = e.Parts
+	}
+	d := 0
+	for _, part := range parts {
+		d = max(d, 1+renderDepth(part))
+	}
+	return d
 }
 
 // parseFilterOr parses and ('||' and)*. The tokenizer emits '|' as single
@@ -275,10 +358,10 @@ func (p *parser) parseFilterOr() (Expr, error) {
 		if !ok1 || t1.text != "|" {
 			break
 		}
-		if p.pos+1 >= len(p.toks) || p.toks[p.pos+1].text != "|" {
+		p.skip()
+		if t2, ok := p.next(); !ok || t2.text != "|" {
 			return nil, fmt.Errorf("single '|' in filter expression at offset %d", t1.pos)
 		}
-		p.pos += 2
 		next, err := p.parseFilterAnd()
 		if err != nil {
 			return nil, err
@@ -303,7 +386,7 @@ func (p *parser) parseFilterAnd() (Expr, error) {
 		if !ok || t.text != "&&" {
 			break
 		}
-		p.pos++
+		p.skip()
 		next, err := p.parseFilterPrim()
 		if err != nil {
 			return nil, err
@@ -322,9 +405,19 @@ func (p *parser) parseFilterPrim() (Expr, error) {
 	if !ok {
 		return nil, fmt.Errorf("unexpected end of query in filter")
 	}
-	switch t.text {
-	case "(":
-		p.pos++
+	if t.text == "(" || t.text == "!" {
+		p.skip()
+		if err := p.enter(t); err != nil {
+			return nil, err
+		}
+		defer p.leave()
+		if t.text == "!" {
+			inner, err := p.parseFilterPrim()
+			if err != nil {
+				return nil, err
+			}
+			return Not{Sub: inner}, nil
+		}
 		inner, err := p.parseFilterOr()
 		if err != nil {
 			return nil, err
@@ -333,13 +426,6 @@ func (p *parser) parseFilterPrim() (Expr, error) {
 			return nil, err
 		}
 		return inner, nil
-	case "!":
-		p.pos++
-		inner, err := p.parseFilterPrim()
-		if err != nil {
-			return nil, err
-		}
-		return Not{Sub: inner}, nil
 	}
 	left, err := p.parseFilterTerm()
 	if err != nil {
@@ -382,7 +468,7 @@ func (p *parser) parseFilterTerm() (rdf.Term, error) {
 	}
 	// Bare numerals become xsd:integer / xsd:double typed literals.
 	if len(t.text) > 0 && (t.text[0] >= '0' && t.text[0] <= '9' || t.text[0] == '-' && len(t.text) > 1) {
-		p.pos++
+		p.skip()
 		dt := "http://www.w3.org/2001/XMLSchema#integer"
 		if strings.ContainsAny(t.text, ".eE") {
 			dt = "http://www.w3.org/2001/XMLSchema#double"
@@ -422,7 +508,7 @@ func (p *parser) parsePathAlt() (Path, error) {
 		if !ok || t.text != "|" {
 			break
 		}
-		p.pos++
+		p.skip()
 		next, err := p.parsePathSeq()
 		if err != nil {
 			return nil, err
@@ -447,7 +533,7 @@ func (p *parser) parsePathSeq() (Path, error) {
 		if !ok || t.text != "/" {
 			break
 		}
-		p.pos++
+		p.skip()
 		next, err := p.parsePathUnary()
 		if err != nil {
 			return nil, err
@@ -469,10 +555,10 @@ func (p *parser) parsePathUnary() (Path, error) {
 	if t, ok := p.peek(); ok {
 		switch t.text {
 		case "+":
-			p.pos++
+			p.skip()
 			return PathPlus{Sub: prim}, nil
 		case "*":
-			p.pos++
+			p.skip()
 			return PathStar{Sub: prim}, nil
 		}
 	}
@@ -487,7 +573,11 @@ func (p *parser) parsePathPrimary() (Path, error) {
 		return nil, fmt.Errorf("unexpected end of query in property path")
 	}
 	if t.text == "(" {
-		p.pos++
+		p.skip()
+		if err := p.enter(t); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		inner, err := p.parsePathAlt()
 		if err != nil {
 			return nil, err
@@ -538,11 +628,11 @@ func (p *parser) parseBGP(q *Query) error {
 			return fmt.Errorf("unterminated BGP: missing '}'")
 		}
 		if t.text == "}" {
-			p.pos++
+			p.skip()
 			return nil
 		}
 		if strings.EqualFold(t.text, "FILTER") {
-			p.pos++
+			p.skip()
 			expr, err := p.parseFilter()
 			if err != nil {
 				return err
@@ -550,7 +640,7 @@ func (p *parser) parseBGP(q *Query) error {
 			q.Filters = append(q.Filters, expr)
 			// Optional '.' after a filter.
 			if sep, ok := p.peek(); ok && sep.text == "." {
-				p.pos++
+				p.skip()
 			}
 			haveS, haveP = false, false
 			continue
@@ -587,16 +677,16 @@ func (p *parser) parseBGP(q *Query) error {
 		}
 		switch sep.text {
 		case ".":
-			p.pos++
+			p.skip()
 			haveS, haveP = false, false
 		case ";":
-			p.pos++
+			p.skip()
 			curS, haveS, haveP = s, true, false
 		case ",":
 			if path != nil {
 				return fmt.Errorf("',' continuation after a property path is not supported")
 			}
-			p.pos++
+			p.skip()
 			curS, curP, haveS, haveP = s, pr, true, true
 		case "}":
 			haveS, haveP = false, false
@@ -645,12 +735,23 @@ func (p *parser) parsePatternTerm(pos termPos) (rdf.Term, error) {
 		}
 		return term, nil
 	case strings.Contains(txt, ":"):
-		i := strings.IndexByte(txt, ':')
-		base, ok := p.prefixes[txt[:i]]
+		term, ok := p.iris[txt]
 		if !ok {
-			return rdf.Term{}, fmt.Errorf("undeclared prefix %q at offset %d", txt[:i], t.pos)
+			i := strings.IndexByte(txt, ':')
+			base, ok := p.prefixes[txt[:i]]
+			if !ok {
+				return rdf.Term{}, fmt.Errorf("undeclared prefix %q at offset %d", txt[:i], t.pos)
+			}
+			term = rdf.NewIRI(base + txt[i+1:])
+			if p.iris == nil {
+				p.iris = make(map[string]rdf.Term)
+			}
+			p.iris[txt] = term
 		}
-		return rdf.NewIRI(base + txt[i+1:]), nil
+		if p.budget -= len(term.Value); p.budget < 0 {
+			return rdf.Term{}, &LimitError{What: "expanded IRI bytes", Limit: MaxExpansion * len(p.in), Offset: t.pos}
+		}
+		return term, nil
 	default:
 		return rdf.Term{}, fmt.Errorf("cannot parse term %q at offset %d", txt, t.pos)
 	}
