@@ -1141,7 +1141,9 @@ type statsResponse struct {
 
 // dictStats is the /stats "dict" sub-document.
 type dictStats struct {
-	Entries       int     `json:"entries"`
+	Entries int `json:"entries"`
+	// ResidentBytes is the dictionary's exact size: the capacities of
+	// its arena, offsets and hash table.
 	ResidentBytes int64   `json:"resident_bytes"`
 	BuildSeconds  float64 `json:"build_seconds"`
 	CacheEntries  int     `json:"cache_entries"`

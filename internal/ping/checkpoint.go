@@ -72,7 +72,8 @@ func (b Budget) IsZero() bool {
 type StopReason string
 
 const (
-	// StopCompleted: the run delivered its final (maximal-slice) step.
+	// StopCompleted: the run delivered its final step: the maximal
+	// slice, or the step that filled the query's LIMIT.
 	StopCompleted StopReason = "completed"
 	// StopCallback: the step callback returned false.
 	StopCallback StopReason = "callback"
@@ -475,14 +476,21 @@ func (p *Processor) runSteps(ctx context.Context, lay *hpart.Layout, q *sparql.Q
 		if rc.checkpoints {
 			lastCp = state.checkpoint(q, lay, sr)
 		}
+		// LIMIT caps the cumulative answers, and the parser has no ORDER
+		// BY or OFFSET, so once the cap is reached these answers are the
+		// final ones: no later step can change them.
+		capped := q.Limit > 0 && answers.Card() >= q.Limit
 		if !fn(sr, lastCp) {
-			if i+1 < len(steps) {
+			if i+1 < len(steps) && !capped {
 				status.Done = false
 				status.Reason = StopCallback
 				status.Checkpoint = lastCp
 			}
 			setCoverage()
 			return status, nil
+		}
+		if capped {
+			break
 		}
 	}
 	setCoverage()

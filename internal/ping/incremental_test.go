@@ -1,6 +1,7 @@
 package ping
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -337,5 +338,69 @@ func TestSubPartCacheMetrics(t *testing.T) {
 	}
 	if lay.SubPartCacheLen() == 0 {
 		t.Fatal("cache is empty after two runs")
+	}
+}
+
+// TestLimitStopsTheRun: once a step fills the LIMIT the run ends, done,
+// with the capped answers, and loads nothing more.
+func TestLimitStopsTheRun(t *testing.T) {
+	g := nestedGraph(0, 200, 6)
+	proc := NewProcessor(mustPartition(t, g), Options{})
+	full, err := proc.PQA(sparql.MustParse(`SELECT * WHERE { ?x <p0> ?y }`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Steps) < 2 || full.Steps[0].Answers.Card() == 0 {
+		t.Fatalf("want a multi-step run with first-step answers, got %d steps", len(full.Steps))
+	}
+	var steps []StepResult
+	st, err := proc.PQARunOn(context.Background(), nil, sparql.MustParse(`SELECT * WHERE { ?x <p0> ?y } LIMIT 1`), Budget{},
+		func(sr StepResult, _ *Checkpoint) bool { steps = append(steps, sr); return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Done || st.Reason != StopCompleted || st.Checkpoint != nil {
+		t.Fatalf("status %+v, want done", st)
+	}
+	if len(steps) != 1 || steps[0].Answers.Card() != 1 {
+		t.Fatalf("%d steps, want 1 with 1 answer", len(steps))
+	}
+	if got, all := steps[0].RowsLoadedCum, full.Steps[len(full.Steps)-1].RowsLoadedCum; got >= all {
+		t.Errorf("LIMIT 1 loaded %d rows, the whole run %d", got, all)
+	}
+}
+
+// TestStepInputRowsSumToRowsLoaded: each step's engine statistics count
+// the rows that step fed the engine, so over a run they sum to the rows
+// loaded, and EQA's single step reports them all.
+func TestStepInputRowsSumToRowsLoaded(t *testing.T) {
+	g := nestedGraph(1, 100, 5)
+	proc := NewProcessor(mustPartition(t, g), Options{})
+	for _, qs := range testQueries {
+		q := sparql.MustParse(qs)
+		res, err := proc.PQA(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for _, sr := range res.Steps {
+			if sr.stats.InputRows != sr.RowsLoadedStep {
+				t.Errorf("%s step %d: InputRows %d, rows loaded %d", qs, sr.Step, sr.stats.InputRows, sr.RowsLoadedStep)
+			}
+			sum += sr.stats.InputRows
+		}
+		if len(res.Steps) == 0 {
+			continue
+		}
+		if cum := res.Steps[len(res.Steps)-1].RowsLoadedCum; sum != cum {
+			t.Errorf("%s: steps' InputRows sum to %d, RowsLoadedCum %d", qs, sum, cum)
+		}
+		_, stats, err := proc.EQA(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.InputRows != sum {
+			t.Errorf("%s: EQA InputRows %d, PQA loaded %d", qs, stats.InputRows, sum)
+		}
 	}
 }

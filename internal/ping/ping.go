@@ -215,7 +215,7 @@ func newProcMetrics(reg *obs.Registry) *procMetrics {
 	reg.Describe("ping_inflight_queries", "queries currently executing (PQA and EQA)")
 	reg.Describe("ping_dict_lookups_total", "dictionary term lookups during candidate pruning, by outcome (hit or miss)")
 	reg.Describe("ping_dict_entries", "terms in the pinned epoch's dictionary snapshot")
-	reg.Describe("ping_dict_resident_bytes", "estimated resident bytes of the shared term dictionary")
+	reg.Describe("ping_dict_resident_bytes", "resident bytes of the shared term dictionary: its arena, offsets and hash table")
 	reg.Describe("ping_dict_build_seconds", "time to capture and sign the pinned epoch's dictionary snapshot")
 	reg.Describe("ping_subparts_cache_bytes", "resident payload bytes of the decoded sub-partition cache")
 	reg.Describe("ping_subparts_cache_raw_bytes", "uncompressed size of the same cached sub-partitions (8 bytes per pair)")
@@ -732,7 +732,6 @@ func (p *Processor) EQAFull(ctx context.Context, q *sparql.Query) (*ExactResult,
 	}
 	_, err := p.runPQA(ctx, lay, q, runConfig{mode: modeEQA}, func(sr StepResult, _ *Checkpoint) bool {
 		res.Answers, res.Stats = sr.Answers, sr.stats
-		res.Stats.InputRows = sr.RowsLoadedCum
 		res.Exact = !sr.Degraded
 		res.MissingSubParts = sr.MissingSubParts
 		return true

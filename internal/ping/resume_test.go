@@ -347,3 +347,34 @@ func TestResumeSnapshotMismatch(t *testing.T) {
 		t.Fatal("restarted run not exact")
 	}
 }
+
+// TestNestedClosurePausesAndResumes: a checkpoint stores the query as
+// text, so a closure inside a closure must render in a form that parses
+// again for its paused run to resume.
+func TestNestedClosurePausesAndResumes(t *testing.T) {
+	g := nestedGraph(3, 60, 5)
+	proc := NewProcessor(mustPartition(t, g), Options{})
+	q := sparql.MustParse(`SELECT * WHERE { ?x (<p0>+)+ ?y }`)
+	_, _, want, _ := runAll(t, proc, q)
+	st, err := proc.PQARunOn(context.Background(), nil, q, Budget{MaxSteps: 1}, func(StepResult, *Checkpoint) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Done {
+		t.Fatalf("the run finished in %d step, so nothing paused", st.StepsDone)
+	}
+	var last StepResult
+	rst, err := proc.PQAResumeRun(context.Background(), nil, st.Checkpoint, Budget{}, func(sr StepResult, _ *Checkpoint) bool {
+		last = sr
+		return true
+	})
+	if err != nil {
+		t.Fatalf("resume of %q: %v", st.Checkpoint.Query, err)
+	}
+	if !rst.Done {
+		t.Fatalf("resumed run did not finish: %+v", rst)
+	}
+	if got, wantSet := answerSet(last.Answers), answerSet(want.Answers); len(got) != len(wantSet) || !subset(got, wantSet) {
+		t.Errorf("resumed run ends with %d answers, the uninterrupted one with %d", len(got), len(wantSet))
+	}
+}

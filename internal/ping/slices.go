@@ -435,6 +435,9 @@ func (st *evalState) evaluate() (*engine.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The engine sees each row this step loaded, once per pattern whose
+	// HL(t) holds its sub-partition; InputRows counts the rows.
+	stats.InputRows = st.rowsLoadedStep
 	st.lastStats = stats
 	st.led.ObservePeakRelationRows(stats.PeakRows)
 	return rel, nil

@@ -207,3 +207,120 @@ func TestReadDictLyingCount(t *testing.T) {
 		t.Errorf("reading a 15-byte dictionary allocated %d bytes", alloc)
 	}
 }
+
+// TestReadDictAllocationBound: decoding a dictionary, as a base and as a
+// segment, allocates at most twice its input plus the 64 KiB read
+// buffer, over FuzzReadDict's seeds at full size: a 1 MiB literal and
+// 200 000 blank nodes. A term costs its line in the arena,
+// a 4-byte offset and about 5.3 bytes of hash table, so the bound holds
+// for lines of 10 bytes and more, the length of the 200 000 blank nodes.
+func TestReadDictAllocationBound(t *testing.T) {
+	allocated := func(read func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for i, in := range readDictSeeds(200000, 1<<20) {
+		limit := uint64(2*len(in) + 64<<10)
+		got := allocated(func() { ReadDict(strings.NewReader(in)) })
+		if got > limit {
+			t.Errorf("seed %d (%d bytes): ReadDict allocated %d bytes, bound %d", i, len(in), got, limit)
+		}
+		t.Logf("seed %d: %d bytes in, ReadDict allocated %d", i, len(in), got)
+		d := NewDict()
+		d.Encode(NewIRI("http://x/seed"))
+		if got := allocated(func() { d.ReadSegment(strings.NewReader(in)) }); got > limit {
+			t.Errorf("seed %d (%d bytes): ReadSegment allocated %d bytes, bound %d", i, len(in), got, limit)
+		}
+	}
+}
+
+// TestReadDictCanonicalizes: a line that parses but is not in canonical
+// form is held, written and signed as its canonical form.
+func TestReadDictCanonicalizes(t *testing.T) {
+	got, err := ReadDict(strings.NewReader("4\n <http://x/a>\t\n\"tab\there\"@en\n\"u\\u0041\"^^<http://x/t> \n$v\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewDict()
+	for _, tm := range []Term{NewIRI("http://x/a"), NewLangLiteral("tab\there", "en"),
+		NewTypedLiteral(`u\u0041`, "http://x/t"), NewVar("v")} {
+		want.Encode(tm)
+	}
+	for id := ID(0); id < 4; id++ {
+		if got.Term(id) != want.Term(id) || got.TermString(id) != want.TermString(id) {
+			t.Errorf("term %d: %+v %s, want %+v %s", id, got.Term(id), got.TermString(id), want.Term(id), want.TermString(id))
+		}
+	}
+	var a, b bytes.Buffer
+	got.WriteTo(&a)
+	want.WriteTo(&b)
+	if a.String() != b.String() || got.Sig() != want.Sig() {
+		t.Errorf("read %q sig %x, want %q sig %x", a.String(), got.Sig(), b.String(), want.Sig())
+	}
+}
+
+// TestDictAllocsPerCall: looking up or re-encoding an IRI and rendering
+// a term allocate nothing.
+func TestDictAllocsPerCall(t *testing.T) {
+	d := NewDict()
+	iri := NewIRI("http://dbpedia.example.org/resource/Entity_12345")
+	id := d.Encode(iri)
+	d.Encode(NewLiteral("other"))
+	for name, f := range map[string]func(){
+		"Lookup":     func() { d.Lookup(iri) },
+		"Encode":     func() { d.Encode(iri) },
+		"TermString": func() { _ = d.TermString(id) },
+		"Term":       func() { _ = d.Term(id) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, n)
+		}
+	}
+}
+
+// TestDictReadersBesideWriter: lookups and renderings of interned terms
+// stay right while one writer grows the arena and the table (run with
+// -race).
+func TestDictReadersBesideWriter(t *testing.T) {
+	d := NewDict()
+	const base = 500
+	for i := 0; i < base; i++ {
+		d.Encode(NewIRI(fmt.Sprintf("http://x/%d", i)))
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i = (i + 1) % base {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				want := fmt.Sprintf("<http://x/%d>", i)
+				if s := d.TermString(ID(i)); s != want {
+					t.Errorf("TermString(%d) = %s, want %s", i, s, want)
+					return
+				}
+				if id := d.LookupIRI(fmt.Sprintf("http://x/%d", i)); id != ID(i) {
+					t.Errorf("Lookup(%d) = %d", i, id)
+					return
+				}
+			}
+		}()
+	}
+	for i := base; i < 20*base; i++ {
+		d.Encode(NewLiteral(fmt.Sprintf("grow %d", i)))
+	}
+	close(stop)
+	wg.Wait()
+	if d.Len() != 20*base {
+		t.Fatalf("Len = %d, want %d", d.Len(), 20*base)
+	}
+}

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -48,16 +49,11 @@ func FuzzParseNTriples(f *testing.F) {
 // does not carry, and what it accepts must round-trip through WriteTo
 // and WriteSegment.
 func FuzzReadDict(f *testing.F) {
-	for _, s := range []string{
-		"2\n<http://x/a>\n\"lit\"@en\n",
-		"1\n_:b\n",
-		"0\n",
-		"3\n<a>\n<a>\n<b>\n",
-		"99999999999\n<a>\n",
-		"1\n<a> trailing\n",
-		"-1\n",
-		"",
-	} {
+	// The adversarial seeds at a thousandth of the size: from megabyte
+	// seeds the fuzzer spends its minute minimizing what it grows from
+	// them and runs a few thousand inputs instead of hundreds of
+	// thousands.
+	for _, s := range readDictSeeds(200, 1<<10) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
@@ -86,4 +82,31 @@ func FuzzReadDict(f *testing.F) {
 			t.Fatalf("accepted segment does not round-trip: %v", err)
 		}
 	})
+}
+
+// readDictSeeds is FuzzReadDict's seed corpus, which
+// TestReadDictAllocationBound also reads. The last four are
+// adversarial: a literal of about literalBytes full of escapes, that
+// many short blank nodes, a count of 10^9 over three lines, and lines
+// that are not in canonical form.
+func readDictSeeds(blankNodes, literalBytes int) []string {
+	var blanks strings.Builder
+	fmt.Fprintf(&blanks, "%d\n", blankNodes)
+	for i := range blankNodes {
+		fmt.Fprintf(&blanks, "_:b%06d\n", i)
+	}
+	return []string{
+		"2\n<http://x/a>\n\"lit\"@en\n",
+		"1\n_:b\n",
+		"0\n",
+		"3\n<a>\n<a>\n<b>\n",
+		"99999999999\n<a>\n",
+		"1\n<a> trailing\n",
+		"-1\n",
+		"",
+		"1\n\"" + strings.Repeat(`\"\\\n\t`, literalBytes/8) + "\"\n",
+		blanks.String(),
+		"1000000000\n<a>\n<b>\n<c>\n",
+		"3\n <http://x/a>\t\n\"tab\there\"\n\"u\\u0041\"^^<http://x/t> \n",
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // ParseNTriples reads an N-Triples document into a fresh graph. Lines that
@@ -155,6 +156,57 @@ func parseLiteral(in string) (Term, string, error) {
 	default:
 		return NewLiteral(value), rest, nil
 	}
+}
+
+// isCanonical reports whether line, which parseTerm read as t leaving
+// rest, is exactly t's surface form: the bytes t.appendTo writes. It
+// decides without building that form, so a long escaped literal costs
+// no copy.
+func isCanonical(line string, t Term, rest string) bool {
+	if rest != "" || line == "" || line[0] == ' ' || line[0] == '\t' {
+		return false
+	}
+	switch t.Kind {
+	case IRI, Blank:
+		return true
+	case Variable:
+		return line[0] == '?'
+	case Literal:
+		// rest is empty, so the suffix fixes where the closing quote is.
+		end := len(line) - 1
+		if t.Lang != "" {
+			end -= len(t.Lang) + 1
+		} else if t.Datatype != "" {
+			end -= len(t.Datatype) + 4
+		}
+		return end > 0 && line[end] == '"' && canonicalLiteralBody(line[1:end])
+	}
+	return false
+}
+
+// canonicalLiteralBody reports whether the escaped body of a literal is
+// what appendEscaped writes for its unescaped value.
+func canonicalLiteralBody(body string) bool {
+	if !strings.ContainsAny(body, "\\\n\r\t") {
+		return true
+	}
+	// An escape makes appendEscaped write rune by rune, which replaces
+	// invalid UTF-8.
+	if !utf8.ValidString(body) {
+		return false
+	}
+	for i := 0; i < len(body); i++ {
+		switch body[i] {
+		case '\n', '\r', '\t':
+			return false
+		case '\\':
+			i++
+			if i == len(body) || strings.IndexByte(`"\nrt`, body[i]) < 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // ParseTermString parses the first term of an N-Triples-syntax string and

@@ -11,6 +11,7 @@ package rdf
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind distinguishes the three kinds of RDF terms plus variables, which
@@ -86,34 +87,12 @@ func (t Term) IsConcrete() bool { return t.Kind != Variable }
 // SPARQL ?name). The rendering is injective across kinds, so it doubles as
 // the dictionary key.
 func (t Term) String() string {
-	switch t.Kind {
-	case IRI:
-		return "<" + t.Value + ">"
-	case Blank:
-		return "_:" + t.Value
-	case Variable:
-		return "?" + t.Value
-	case Literal:
-		var b strings.Builder
-		b.WriteByte('"')
-		b.WriteString(escapeLiteral(t.Value))
-		b.WriteByte('"')
-		if t.Lang != "" {
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
-		} else if t.Datatype != "" {
-			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
-			b.WriteByte('>')
-		}
-		return b.String()
-	default:
-		return fmt.Sprintf("!invalid(%d)", t.Kind)
-	}
+	var buf [128]byte
+	return string(t.appendTo(buf[:0]))
 }
 
-// appendTo appends the String form of t to b, without allocating for
-// the IRIs and blank nodes that make up most of a dictionary.
+// appendTo appends the String form of t to b. It allocates only when b
+// must grow, so the dictionary can key a term without building a string.
 func (t Term) appendTo(b []byte) []byte {
 	switch t.Kind {
 	case IRI:
@@ -122,46 +101,66 @@ func (t Term) appendTo(b []byte) []byte {
 		return append(b, '>')
 	case Blank:
 		return append(append(b, "_:"...), t.Value...)
+	case Variable:
+		return append(append(b, '?'), t.Value...)
+	case Literal:
+		b = append(appendEscaped(append(b, '"'), t.Value), '"')
+		if t.Lang != "" {
+			return append(append(b, '@'), t.Lang...)
+		}
+		if t.Datatype != "" {
+			b = append(append(b, "^^<"...), t.Datatype...)
+			return append(b, '>')
+		}
+		return b
 	default:
-		return append(b, t.String()...)
+		return fmt.Appendf(b, "!invalid(%d)", t.Kind)
 	}
 }
 
-// escapeLiteral escapes the characters that N-Triples requires escaping
-// inside literal quotes.
-func escapeLiteral(s string) string {
+// appendEscaped appends s, escaping the characters that N-Triples
+// requires escaping inside literal quotes.
+func appendEscaped(b []byte, s string) []byte {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
+		return append(b, s...)
 	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
 	for _, r := range s {
 		switch r {
 		case '"':
-			b.WriteString(`\"`)
+			b = append(b, `\"`...)
 		case '\\':
-			b.WriteString(`\\`)
+			b = append(b, `\\`...)
 		case '\n':
-			b.WriteString(`\n`)
+			b = append(b, `\n`...)
 		case '\r':
-			b.WriteString(`\r`)
+			b = append(b, `\r`...)
 		case '\t':
-			b.WriteString(`\t`)
+			b = append(b, `\t`...)
 		default:
-			b.WriteRune(r)
+			b = utf8.AppendRune(b, r)
 		}
 	}
-	return b.String()
+	return b
 }
 
-// unescapeLiteral reverses escapeLiteral. Unknown escapes are passed
+// unescapeLiteral reverses appendEscaped. Unknown escapes are passed
 // through verbatim to stay permissive with real-world dumps.
 func unescapeLiteral(s string) string {
 	if !strings.ContainsRune(s, '\\') {
 		return s
 	}
+	// Size the result exactly: each known escape shrinks to one byte.
+	n := len(s)
+	for i := 0; i+1 < len(s); i++ {
+		if s[i] == '\\' {
+			if strings.IndexByte(`"\nrt`, s[i+1]) >= 0 {
+				n--
+			}
+			i++
+		}
+	}
 	var b strings.Builder
-	b.Grow(len(s))
+	b.Grow(n)
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c != '\\' || i+1 >= len(s) {

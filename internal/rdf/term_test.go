@@ -41,7 +41,7 @@ func TestTermKindString(t *testing.T) {
 
 func TestEscapeRoundTrip(t *testing.T) {
 	f := func(s string) bool {
-		return unescapeLiteral(escapeLiteral(s)) == s
+		return unescapeLiteral(string(appendEscaped(nil, s))) == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

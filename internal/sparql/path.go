@@ -112,7 +112,7 @@ type PathPlus struct {
 }
 
 func (p PathPlus) isPath()                        {}
-func (p PathPlus) String() string                 { return maybeParen(p.Sub, true) + "+" }
+func (p PathPlus) String() string                 { return closureOperand(p.Sub) + "+" }
 func (p PathPlus) IRIs(acc []rdf.Term) []rdf.Term { return p.Sub.IRIs(acc) }
 
 // Nullable reports whether the sub-path is nullable.
@@ -124,7 +124,7 @@ type PathStar struct {
 }
 
 func (p PathStar) isPath()                        {}
-func (p PathStar) String() string                 { return maybeParen(p.Sub, true) + "*" }
+func (p PathStar) String() string                 { return closureOperand(p.Sub) + "*" }
 func (p PathStar) IRIs(acc []rdf.Term) []rdf.Term { return p.Sub.IRIs(acc) }
 
 // Nullable reports true: zero steps always match.
@@ -143,6 +143,17 @@ func maybeParen(p Path, tight bool) string {
 		}
 	}
 	return p.String()
+}
+
+// closureOperand renders the operand of '+' or '*'. The grammar allows
+// one closure per primary, so a closure inside a closure needs
+// parentheses too: (<p>+)+, not <p>++.
+func closureOperand(p Path) string {
+	switch p.(type) {
+	case PathPlus, PathStar:
+		return "(" + p.String() + ")"
+	}
+	return maybeParen(p, true)
 }
 
 // PathPattern is a triple pattern whose predicate is a property path.

@@ -144,3 +144,20 @@ func TestPathQueryString(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
+
+// TestNestedClosureRendersParseable: a closure inside a closure renders
+// with parentheses, and the rendering parses back to the same path.
+func TestNestedClosureRendersParseable(t *testing.T) {
+	for _, in := range []string{`(<p0>+)+`, `(<p0>*)+`, `(<p0>+)*`, `((<a>/<b>)*)*`, `(<a>|<b>+)+`} {
+		q := MustParse(`SELECT * WHERE { ?x ` + in + ` ?y }`)
+		s := q.String()
+		again, err := Parse(s)
+		if err != nil {
+			t.Errorf("%s renders as %q, which does not parse: %v", in, s, err)
+			continue
+		}
+		if got, want := again.Paths[0].Path.String(), q.Paths[0].Path.String(); got != want {
+			t.Errorf("%s: re-parsed path %s, want %s", in, got, want)
+		}
+	}
+}
