@@ -156,8 +156,9 @@ type resourcesResponse struct {
 }
 
 // handleResources serves the per-query resource ledger aggregates: the
-// top resource consumers by measured CPU (the ledger's dataflow task
-// seconds), with the full ledger per fingerprint. ?top=N truncates
+// top resource consumers by measured CPU (the ledger's step seconds:
+// each step's load + evaluate time), with the full ledger per
+// fingerprint. ?top=N truncates
 // (default 20); ?format=ndjson emits the workload snapshot persistence
 // format.
 func (s *server) handleResources(w http.ResponseWriter, r *http.Request) {

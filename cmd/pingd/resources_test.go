@@ -59,7 +59,7 @@ func TestResourceLedgerFlowsToResourcesAndEvents(t *testing.T) {
 		t.Errorf("top consumer count = %d, want 3", top.Count)
 	}
 	if top.TaskSeconds <= 0 {
-		t.Errorf("task_seconds = %v, want > 0 (dataflow tasks ran)", top.TaskSeconds)
+		t.Errorf("task_seconds = %v, want > 0 (steps ran)", top.TaskSeconds)
 	}
 	if top.RowsLoaded <= 0 {
 		t.Errorf("rows_loaded = %d, want > 0", top.RowsLoaded)

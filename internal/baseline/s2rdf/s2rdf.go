@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"ping/internal/columnar"
-	"ping/internal/dataflow"
 	"ping/internal/dfs"
 	"ping/internal/engine"
 	"ping/internal/rdf"
@@ -67,15 +66,12 @@ type Options struct {
 	// The S2RDF paper's default is 1.0 — store every strictly-reducing
 	// table. Zero value means 1.0.
 	SelectivityThreshold float64
-	// Context supplies the dataflow executor for query evaluation.
-	Context *dataflow.Context
 }
 
 // Store is a preprocessed S2RDF dataset.
 type Store struct {
 	dict *rdf.Dict
 	fs   *dfs.FS
-	ctx  *dataflow.Context
 
 	vpRows  map[rdf.ID]int
 	extRows map[extKey]int
@@ -95,14 +91,9 @@ func Preprocess(g *rdf.Graph, opts Options) (*Store, error) {
 	if threshold == 0 {
 		threshold = 1.0
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = dataflow.NewContext(1)
-	}
 	st := &Store{
 		dict:    g.Dict,
 		fs:      fs,
-		ctx:     ctx,
 		vpRows:  make(map[rdf.ID]int),
 		extRows: make(map[extKey]int),
 	}
@@ -351,5 +342,5 @@ func (st *Store) Query(q *sparql.Query) (*engine.Relation, *engine.Stats, error)
 		}
 		inputs[i] = in
 	}
-	return engine.Evaluate(q, inputs, st.dict, engine.Options{Context: st.ctx})
+	return engine.Evaluate(q, inputs, st.dict, engine.Options{})
 }

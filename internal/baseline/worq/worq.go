@@ -20,7 +20,6 @@ import (
 
 	"ping/internal/bloom"
 	"ping/internal/columnar"
-	"ping/internal/dataflow"
 	"ping/internal/dfs"
 	"ping/internal/engine"
 	"ping/internal/rdf"
@@ -68,8 +67,6 @@ type Options struct {
 	Workload []*sparql.Query
 	// FalsePositiveRate for the Bloom filters (default 0.01).
 	FalsePositiveRate float64
-	// Context supplies the dataflow executor for query evaluation.
-	Context *dataflow.Context
 	// DisableReductionCache makes every query recompute its Bloom
 	// reductions from the base VP tables instead of reading cached
 	// reduction files. This is the paper's §5.3 fairness configuration
@@ -83,7 +80,6 @@ type Options struct {
 type Store struct {
 	dict *rdf.Dict
 	fs   *dfs.FS
-	ctx  *dataflow.Context
 
 	vpRows  map[rdf.ID]int
 	blooms  map[rdf.ID][2]*bloom.Filter // per property: [Sub, Obj] filters
@@ -103,10 +99,6 @@ func Preprocess(g *rdf.Graph, opts Options) (*Store, error) {
 	if fs == nil {
 		fs = dfs.New(dfs.Config{})
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = dataflow.NewContext(1)
-	}
 	fp := opts.FalsePositiveRate
 	if fp <= 0 || fp >= 1 {
 		fp = 0.01
@@ -114,7 +106,6 @@ func Preprocess(g *rdf.Graph, opts Options) (*Store, error) {
 	st := &Store{
 		dict:    g.Dict,
 		fs:      fs,
-		ctx:     ctx,
 		vpRows:  make(map[rdf.ID]int),
 		blooms:  make(map[rdf.ID][2]*bloom.Filter),
 		redRows: make(map[joinSig]int),
@@ -350,7 +341,7 @@ func (st *Store) Query(q *sparql.Query) (*engine.Relation, *engine.Stats, error)
 		}
 		inputs[i] = in
 	}
-	rel, stats, err := engine.Evaluate(q, inputs, st.dict, engine.Options{Context: st.ctx})
+	rel, stats, err := engine.Evaluate(q, inputs, st.dict, engine.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

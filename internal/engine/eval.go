@@ -34,37 +34,16 @@ func (s *Stats) observePeak(card int) {
 
 // Options configures Evaluate.
 type Options struct {
-	// Context supplies the dataflow executor; nil means a private
-	// single-worker context.
+	// Context is not read by the engine, whose joins run on the calling
+	// goroutine. It stays only because the benchmark harness still sets
+	// it.
 	Context *dataflow.Context
-	// Partitions is the shuffle fan-out for joins (<=0: context default).
-	Partitions int
-	// BroadcastThreshold: when one join side has at most this many rows
-	// (and is at least 4x smaller than the other), it is broadcast to
-	// every partition instead of shuffling both sides — Spark's broadcast
-	// hash join. 0 means the default (5000); negative disables.
-	BroadcastThreshold int
 	// Metrics receives the join counters and timing histograms (nil:
 	// obs.Default).
 	Metrics *obs.Registry
 	// Span, when non-nil, receives one child span per executed join with
 	// input/output cardinalities — the engine layer of a query trace.
 	Span *obs.Span
-}
-
-// defaultBroadcastThreshold mirrors Spark's autoBroadcastJoinThreshold
-// idea at our row-count scale.
-const defaultBroadcastThreshold = 5000
-
-func (o Options) broadcastThreshold() int {
-	switch {
-	case o.BroadcastThreshold < 0:
-		return 0
-	case o.BroadcastThreshold == 0:
-		return defaultBroadcastThreshold
-	default:
-		return o.BroadcastThreshold
-	}
 }
 
 // Evaluate computes the BGP result from per-pattern inputs. inputs[i]
@@ -79,7 +58,7 @@ func Evaluate(q *sparql.Query, inputs []PatternInput, dict Dict, opts Options) (
 // joinAll reduces the relation list to one via greedy hash joins,
 // recording per-join timings into the options' registry and one child
 // span per join under the options' span.
-func joinAll(ctx *dataflow.Context, rels []*Relation, opts Options, stats *Stats) (*Relation, error) {
+func joinAll(rels []*Relation, opts Options, stats *Stats) (*Relation, error) {
 	if len(rels) == 0 {
 		return &Relation{}, nil
 	}
@@ -105,7 +84,7 @@ func joinAll(ctx *dataflow.Context, rels []*Relation, opts Options, stats *Stats
 		sp.SetAttr("left_rows", cur.Card())
 		sp.SetAttr("right_rows", next.Card())
 		t0 := time.Now()
-		joined := join(ctx, cur, next, opts)
+		joined := join(cur, next)
 		el := time.Since(t0)
 		sp.SetAttr("out_rows", joined.Card())
 		sp.End()
@@ -142,114 +121,88 @@ func popSmallest(rels *[]*Relation, cur *Relation) *Relation {
 	return r
 }
 
-// join computes the natural join of two relations on the dataflow
-// engine: a broadcast hash join when one side is small (per the options'
-// threshold), a partitioned shuffle hash join otherwise. With no shared
-// variables it degrades to a cross product.
-func join(ctx *dataflow.Context, left, right *Relation, opts Options) *Relation {
-	parts := opts.Partitions
-	shared := left.sharedVars(right)
+// join computes the natural join of two relations with an in-memory
+// hash join on the calling goroutine: a table over the smaller input,
+// keyed by joinKey on the shared columns, probed with the other. A
+// counting pass sizes the output exactly, so the rows are carved from
+// one arena and the row index never grows. With no shared variables it
+// degrades to a cross product.
+func join(left, right *Relation) *Relation {
 	outVars := append([]string(nil), left.Vars...)
 	rightExtra := make([]int, 0, len(right.Vars))
+	var lIdx, rIdx []int
 	for i, v := range right.Vars {
-		if left.varIndex(v) < 0 {
+		if j := left.varIndex(v); j >= 0 {
+			lIdx = append(lIdx, j)
+			rIdx = append(rIdx, i)
+		} else {
 			outVars = append(outVars, v)
 			rightExtra = append(rightExtra, i)
 		}
 	}
+	out := &Relation{Vars: outVars}
+	lw, w := len(left.Vars), len(outVars)
+	var arena []rdf.ID
+	emit := func(lr, rr []rdf.ID) {
+		row := arena[:w:w]
+		arena = arena[w:]
+		copy(row, lr)
+		for j, i := range rightExtra {
+			row[lw+j] = rr[i]
+		}
+		out.Rows = append(out.Rows, row)
+	}
+	alloc := func(n int) {
+		out.Rows = make([][]rdf.ID, 0, n)
+		arena = make([]rdf.ID, n*w)
+	}
 
-	if len(shared) == 0 {
+	if len(lIdx) == 0 {
 		// Cross product (disconnected BGP).
-		out := &Relation{Vars: outVars, Rows: make([][]rdf.ID, 0, len(left.Rows)*len(right.Rows))}
+		alloc(left.Card() * right.Card())
 		for _, lr := range left.Rows {
 			for _, rr := range right.Rows {
-				row := make([]rdf.ID, 0, len(outVars))
-				row = append(row, lr...)
-				for _, i := range rightExtra {
-					row = append(row, rr[i])
-				}
-				out.Rows = append(out.Rows, row)
+				emit(lr, rr)
 			}
 		}
 		return out
 	}
 
-	lIdx := make([]int, len(shared))
-	rIdx := make([]int, len(shared))
-	for i, v := range shared {
-		lIdx[i] = left.varIndex(v)
-		rIdx[i] = right.varIndex(v)
-	}
 	// Keys over one or two 32-bit IDs pack exactly into a uint64; wider
 	// keys are FNV-1a hashes, so every probe match must be verified
 	// against the actual key columns to filter hash collisions.
-	verify := len(shared) > 2
-
-	// Broadcast hash join when one side is small enough: the big side is
-	// never shuffled.
-	if threshold := opts.broadcastThreshold(); threshold > 0 {
-		small, big := right, left
-		smallIdx, bigIdx := rIdx, lIdx
-		smallIsRight := true
-		if left.Card() < right.Card() {
-			small, big = left, right
-			smallIdx, bigIdx = lIdx, rIdx
-			smallIsRight = false
-		}
-		if small.Card() <= threshold && small.Card()*4 <= big.Card() {
-			smallRows := make([]dataflow.Pair[uint64, []rdf.ID], len(small.Rows))
-			for i, row := range small.Rows {
-				smallRows[i] = dataflow.Pair[uint64, []rdf.ID]{Key: joinKey(row, smallIdx), Value: row}
+	verify := len(lIdx) > 2
+	build, probe, bIdx, pIdx := left, right, lIdx, rIdx
+	if right.Card() < left.Card() {
+		build, probe, bIdx, pIdx = right, left, rIdx, lIdx
+	}
+	t := newHashIndex(build.Card())
+	for _, br := range build.Rows {
+		t.add(joinKey(br, bIdx))
+	}
+	n := 0
+	for _, pr := range probe.Rows {
+		for b := t.first(joinKey(pr, pIdx)); b >= 0; b = t.next[b] {
+			if !verify || rowsMatch(build.Rows[b], bIdx, pr, pIdx) {
+				n++
 			}
-			bigKeyed := dataflow.Map(
-				dataflow.Parallelize(ctx, big.Rows, parts),
-				func(row []rdf.ID) dataflow.Pair[uint64, []rdf.ID] {
-					return dataflow.Pair[uint64, []rdf.ID]{Key: joinKey(row, bigIdx), Value: row}
-				})
-			joined := dataflow.BroadcastJoin(bigKeyed, smallRows)
-			out := &Relation{Vars: outVars}
-			for _, pr := range joined.Collect() {
-				lr, rr := pr.Value.Left, pr.Value.Right
-				if !smallIsRight {
-					lr, rr = rr, lr
-				}
-				if verify && !rowsMatch(lr, lIdx, rr, rIdx) {
-					continue
-				}
-				row := make([]rdf.ID, 0, len(outVars))
-				row = append(row, lr...)
-				for _, i := range rightExtra {
-					row = append(row, rr[i])
-				}
-				out.Rows = append(out.Rows, row)
-			}
-			return out
 		}
 	}
-
-	lKeyed := dataflow.Map(
-		dataflow.Parallelize(ctx, left.Rows, parts),
-		func(row []rdf.ID) dataflow.Pair[uint64, []rdf.ID] {
-			return dataflow.Pair[uint64, []rdf.ID]{Key: joinKey(row, lIdx), Value: row}
-		})
-	rKeyed := dataflow.Map(
-		dataflow.Parallelize(ctx, right.Rows, parts),
-		func(row []rdf.ID) dataflow.Pair[uint64, []rdf.ID] {
-			return dataflow.Pair[uint64, []rdf.ID]{Key: joinKey(row, rIdx), Value: row}
-		})
-	joined := dataflow.JoinByKey(lKeyed, rKeyed, parts, func(k uint64) uint64 { return k })
-	out := &Relation{Vars: outVars}
-	for _, pr := range joined.Collect() {
-		lr, rr := pr.Value.Left, pr.Value.Right
-		if verify && !rowsMatch(lr, lIdx, rr, rIdx) {
-			continue
+	if n == 0 {
+		return out
+	}
+	alloc(n)
+	for _, pr := range probe.Rows {
+		for b := t.first(joinKey(pr, pIdx)); b >= 0; b = t.next[b] {
+			br := build.Rows[b]
+			switch {
+			case verify && !rowsMatch(br, bIdx, pr, pIdx):
+			case build == left:
+				emit(br, pr)
+			default:
+				emit(pr, br)
+			}
 		}
-		row := make([]rdf.ID, 0, len(outVars))
-		row = append(row, lr...)
-		for _, i := range rightExtra {
-			row = append(row, rr[i])
-		}
-		out.Rows = append(out.Rows, row)
 	}
 	return out
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ping/internal/dataflow"
 	"ping/internal/rdf"
 	"ping/internal/sparql"
 )
@@ -216,10 +215,9 @@ func randomQueryGraph(seed int64) (*rdf.Graph, *sparql.Query) {
 }
 
 func TestEvaluateMatchesOracleRandomized(t *testing.T) {
-	ctx := dataflow.NewContext(4)
 	for seed := int64(0); seed < 40; seed++ {
 		g, q := randomQueryGraph(seed)
-		rel, _, err := Evaluate(q, InputsFromGraph(g, q), g.Dict, Options{Context: ctx, Partitions: 3})
+		rel, _, err := Evaluate(q, InputsFromGraph(g, q), g.Dict, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

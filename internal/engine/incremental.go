@@ -3,8 +3,8 @@ package engine
 import (
 	"fmt"
 
-	"ping/internal/dataflow"
 	"ping/internal/obs"
+	"ping/internal/rdf"
 	"ping/internal/sparql"
 )
 
@@ -39,7 +39,6 @@ type Incremental struct {
 	q    *sparql.Query
 	dict Dict
 	opts Options
-	ctx  *dataflow.Context
 
 	nPat int
 	// full/old hold the per-pattern relations (triple patterns first,
@@ -54,7 +53,8 @@ type Incremental struct {
 	pathGroups [][]PropGroup
 	pathSeen   []*rowSet
 
-	answers   *Relation
+	// answerSet holds the cumulative distinct answers, in the order
+	// they were found.
 	answerSet *rowSet
 	proj      []string
 }
@@ -62,16 +62,11 @@ type Incremental struct {
 // NewIncremental prepares a semi-naive evaluation of q. The error
 // return is always nil.
 func NewIncremental(q *sparql.Query, dict Dict, opts Options) (*Incremental, error) {
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = dataflow.NewContext(1)
-	}
 	k := len(q.Patterns) + len(q.Paths)
 	inc := &Incremental{
 		q:          q,
 		dict:       dict,
 		opts:       opts,
-		ctx:        ctx,
 		nPat:       len(q.Patterns),
 		full:       make([]*Relation, k),
 		old:        make([]*Relation, k),
@@ -87,14 +82,14 @@ func NewIncremental(q *sparql.Query, dict Dict, opts Options) (*Incremental, err
 		inc.full[inc.nPat+j] = &Relation{Vars: pat.Vars()}
 		inc.pathSeen[j] = newRowSet(0)
 	}
-	inc.answers = &Relation{Vars: inc.proj}
 	return inc, nil
 }
 
 // Answers returns the cumulative distinct answer relation as a stable
 // snapshot (appending further steps does not mutate it).
 func (inc *Incremental) Answers() *Relation {
-	return &Relation{Vars: inc.proj, Rows: inc.answers.Rows[:len(inc.answers.Rows):len(inc.answers.Rows)]}
+	rows := inc.answerSet.rows
+	return &Relation{Vars: inc.proj, Rows: rows[:len(rows):len(rows)]}
 }
 
 // Snapshot returns stable copies of the evaluator's accumulated state at
@@ -157,7 +152,6 @@ func (inc *Incremental) Restore(rels []*Relation, pathGroups [][]PropGroup, answ
 			return fmt.Errorf("engine: restore answer row of width %d, want %d", len(row), len(inc.proj))
 		}
 	}
-	inc.answers = &Relation{Vars: inc.proj, Rows: answers.Rows[:len(answers.Rows):len(answers.Rows)]}
 	set := newRowSet(len(answers.Rows))
 	for _, row := range answers.Rows {
 		set.add(row)
@@ -270,15 +264,14 @@ func (inc *Incremental) Step(patDeltas, pathDeltas [][]PropGroup, span *obs.Span
 		}
 		termOpts := inc.opts
 		termOpts.Span = span
-		joined, err := joinAll(inc.ctx, rels, termOpts, stats)
+		joined, err := joinAll(rels, termOpts, stats)
 		if err != nil {
 			return nil, nil, err
 		}
 		res := applyFilters(joined, inc.q.Filters, inc.dict)
-		if len(inc.proj) > 0 {
-			if res, err = res.Project(inc.proj); err != nil {
-				return nil, nil, err
-			}
+		cols, err := res.columns(inc.proj)
+		if err != nil {
+			return nil, nil, err
 		}
 		if inc.answerSet.len() == 0 {
 			// First answers: size the set once instead of growing it.
@@ -288,20 +281,35 @@ func (inc *Incremental) Step(patDeltas, pathDeltas [][]PropGroup, span *obs.Span
 			}
 			inc.answerSet = newRowSet(n)
 		}
-		for _, row := range res.Rows {
+		// Project each row into a scratch row, and copy only new answers
+		// out, into arenas of at most 4096 rows.
+		w := len(cols)
+		scratch := make([]rdf.ID, w)
+		var arena []rdf.ID
+		for i, row := range res.Rows {
 			if inc.capped() {
 				break
 			}
-			if inc.answerSet.add(row) {
-				inc.answers.Rows = append(inc.answers.Rows, row)
+			for j, c := range cols {
+				scratch[j] = row[c]
 			}
+			if inc.answerSet.has(scratch) {
+				continue
+			}
+			if len(arena) < w {
+				arena = make([]rdf.ID, min(4096, len(res.Rows)-i)*w)
+			}
+			ans := arena[:w:w]
+			arena = arena[w:]
+			copy(ans, scratch)
+			inc.answerSet.add(ans)
 		}
 	}
-	stats.OutputRows = int64(inc.answers.Card())
+	stats.OutputRows = int64(inc.answerSet.len())
 	return inc.Answers(), stats, nil
 }
 
 // capped reports whether the answer list has reached the query's LIMIT.
 func (inc *Incremental) capped() bool {
-	return inc.q.Limit > 0 && len(inc.answers.Rows) >= inc.q.Limit
+	return inc.q.Limit > 0 && inc.answerSet.len() >= inc.q.Limit
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ping/internal/dataflow"
 	"ping/internal/rdf"
 )
 
@@ -91,8 +90,7 @@ func TestJoinManySharedVars(t *testing.T) {
 			left := &Relation{Vars: append(append([]string{}, vars...), "l")}
 			right := &Relation{Vars: append(append([]string{}, vars...), "r")}
 			// A tiny value domain forces many equal keys and many
-			// near-identical rows; the small right side keeps the
-			// broadcast variant eligible (small*4 <= big).
+			// near-identical rows.
 			for i := 0; i < 60; i++ {
 				lrow := make([]rdf.ID, nShared+1)
 				for j := 0; j < nShared; j++ {
@@ -110,17 +108,9 @@ func TestJoinManySharedVars(t *testing.T) {
 				right.Rows = append(right.Rows, rrow)
 			}
 
-			want := nestedLoopJoin(left, right)
-			for _, broadcast := range []bool{false, true} {
-				opts := Options{}
-				if !broadcast {
-					opts.BroadcastThreshold = -1
-				}
-				got := join(dataflow.NewContext(2), left, right, opts)
-				if !sameRelation(got, want) {
-					t.Fatalf("seed %d shared %d broadcast %v: join %d rows, oracle %d",
-						seed, nShared, broadcast, got.Card(), want.Card())
-				}
+			if got, want := join(left, right), nestedLoopJoin(left, right); !sameRelation(got, want) {
+				t.Fatalf("seed %d shared %d: join %d rows, oracle %d",
+					seed, nShared, got.Card(), want.Card())
 			}
 		}
 	}
@@ -167,5 +157,43 @@ func TestDistinctCollisionSafe(t *testing.T) {
 	d := rel.Distinct()
 	if d.Card() != len(uniq) {
 		t.Fatalf("Distinct kept %d rows, want %d", d.Card(), len(uniq))
+	}
+}
+
+// TestRowSetMatchesMap: through every resize, the open-addressing row
+// set agrees with a map on membership and keeps first occurrences in
+// order.
+func TestRowSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, width := range []int{0, 1, 3} {
+		s := newRowSet(0)
+		seen := make(map[[3]rdf.ID]bool)
+		var order [][]rdf.ID
+		for i := 0; i < 3000; i++ {
+			var key [3]rdf.ID
+			row := make([]rdf.ID, width)
+			for j := range row {
+				row[j] = rdf.ID(rng.Intn(20))
+				key[j] = row[j]
+			}
+			if s.has(row) != seen[key] {
+				t.Fatalf("width %d row %v: has %v, map %v", width, row, s.has(row), seen[key])
+			}
+			if s.add(row) == seen[key] {
+				t.Fatalf("width %d row %v: add disagrees with the map", width, row)
+			}
+			if !seen[key] {
+				seen[key] = true
+				order = append(order, row)
+			}
+		}
+		if s.len() != len(order) {
+			t.Fatalf("width %d: %d members, want %d", width, s.len(), len(order))
+		}
+		for i, row := range order {
+			if !rowsEqual(s.rows[i], row) {
+				t.Fatalf("width %d: member %d is %v, want %v", width, i, s.rows[i], row)
+			}
+		}
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"ping/internal/dataflow"
 	"ping/internal/rdf"
 	"ping/internal/sparql"
 )
@@ -211,10 +210,6 @@ func EvaluatePaths(q *sparql.Query, inputs []PatternInput, pathInputs []PathInpu
 		return nil, nil, fmt.Errorf("engine: %d/%d inputs for %d patterns + %d paths",
 			len(inputs), len(pathInputs), len(q.Patterns), len(q.Paths))
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = dataflow.NewContext(1)
-	}
 	stats := &Stats{}
 	rels := make([]*Relation, 0, len(inputs)+len(pathInputs))
 	for _, in := range inputs {
@@ -234,7 +229,7 @@ func EvaluatePaths(q *sparql.Query, inputs []PatternInput, pathInputs []PathInpu
 		rels = append(rels, rel)
 	}
 
-	result, err := joinAll(ctx, rels, opts, stats)
+	result, err := joinAll(rels, opts, stats)
 	if err != nil {
 		return nil, nil, err
 	}

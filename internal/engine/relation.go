@@ -1,8 +1,8 @@
 // Package engine implements BGP evaluation for PING and its baselines: it
 // turns per-pattern vertical-partition rows into relations, joins them
-// with hash joins executed on the dataflow engine (greedy smallest-first
-// join ordering, the same "perform small joins first" policy §5.6 credits
-// to S2RDF), and projects the requested variables.
+// with in-memory hash joins on the calling goroutine (greedy
+// smallest-first join ordering, the same "perform small joins first"
+// policy §5.6 credits to S2RDF), and projects the requested variables.
 //
 // A naive backtracking evaluator over a plain rdf.Graph is included as the
 // correctness oracle for the paper's soundness/completeness claims
@@ -11,6 +11,8 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -63,12 +65,9 @@ func (r *Relation) sharedVars(s *Relation) []string {
 // Project returns a relation restricted to the named columns. Requesting a
 // variable the relation does not bind is an error.
 func (r *Relation) Project(vars []string) (*Relation, error) {
-	idx := make([]int, len(vars))
-	for i, v := range vars {
-		idx[i] = r.varIndex(v)
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("engine: projection variable ?%s not bound by %v", v, r.Vars)
-		}
+	idx, err := r.columns(vars)
+	if err != nil {
+		return nil, err
 	}
 	out := &Relation{Vars: append([]string(nil), vars...), Rows: make([][]rdf.ID, len(r.Rows))}
 	for i, row := range r.Rows {
@@ -81,17 +80,26 @@ func (r *Relation) Project(vars []string) (*Relation, error) {
 	return out, nil
 }
 
+// columns returns the column index of each named variable; a variable
+// the relation does not bind is an error.
+func (r *Relation) columns(vars []string) ([]int, error) {
+	idx := make([]int, len(vars))
+	for i, v := range vars {
+		if idx[i] = r.varIndex(v); idx[i] < 0 {
+			return nil, fmt.Errorf("engine: projection variable ?%s not bound by %v", v, r.Vars)
+		}
+	}
+	return idx, nil
+}
+
 // Distinct returns the relation with duplicate rows removed, preserving
 // first-occurrence order.
 func (r *Relation) Distinct() *Relation {
 	seen := newRowSet(len(r.Rows))
-	out := &Relation{Vars: r.Vars, Rows: make([][]rdf.ID, 0, len(r.Rows))}
 	for _, row := range r.Rows {
-		if seen.add(row) {
-			out.Rows = append(out.Rows, row)
-		}
+		seen.add(row)
 	}
-	return out
+	return &Relation{Vars: r.Vars, Rows: seen.rows}
 }
 
 // Limit returns the first n rows (all rows if n <= 0).
@@ -149,9 +157,13 @@ func joinKey(row []rdf.ID, idx []int) uint64 {
 	case 2:
 		return uint64(row[idx[0]])<<32 | uint64(row[idx[1]])
 	default:
-		return hashRowCols(row, idx)
+		return wideKey(row, idx)
 	}
 }
+
+// wideKey hashes keys of three or more columns; tests swap in a
+// colliding hash to exercise the join's verification.
+var wideKey = hashRowCols
 
 // rowsMatch reports whether two rows agree on the paired columns.
 func rowsMatch(a []rdf.ID, aIdx []int, b []rdf.ID, bIdx []int) bool {
@@ -176,42 +188,112 @@ func rowsEqual(a, b []rdf.ID) bool {
 	return true
 }
 
-// rowSet is a set of rows keyed by their FNV-1a hash, with full-row
-// equality on collision, so membership is exact while keys stay
-// allocation-free uint64s.
+// hashIndex maps uint64 keys to the rows carrying them, rows being
+// numbered in the order they were added: an open-addressing table of
+// the distinct keys (load at most 1/2), each slot heading a chain of its
+// rows through next, the last added first. It indexes a join's build
+// side by join key and a rowSet's members by row hash.
+type hashIndex struct {
+	keys  []uint64
+	heads []int32 // per slot: row + 1 of the chain's first row; 0: empty
+	next  []int32 // per row: the chain's next row, or -1
+	used  int     // occupied slots
+	shift uint
+}
+
+// newHashIndex returns an index that holds n rows without growing.
+func newHashIndex(n int) *hashIndex {
+	t := &hashIndex{next: make([]int32, 0, n)}
+	t.resize(2 * n)
+	return t
+}
+
+// resize rebuilds the table with at least n slots (a power of two);
+// the chains move with their slots.
+func (t *hashIndex) resize(n int) {
+	size := 8
+	for size < n {
+		size <<= 1
+	}
+	keys, heads := t.keys, t.heads
+	t.keys, t.heads = make([]uint64, size), make([]int32, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for i, h := range heads {
+		if h != 0 {
+			s := t.slot(keys[i])
+			t.keys[s], t.heads[s] = keys[i], h
+		}
+	}
+}
+
+// slot returns the slot holding key k, or the empty slot where it
+// belongs (Fibonacci hashing, linear probing).
+func (t *hashIndex) slot(k uint64) int {
+	mask := len(t.keys) - 1
+	s := int((k * 0x9E3779B97F4A7C15) >> t.shift)
+	for t.heads[s] != 0 && t.keys[s] != k {
+		s = (s + 1) & mask
+	}
+	return s
+}
+
+// add indexes the next row under key k.
+func (t *hashIndex) add(k uint64) {
+	s := t.slot(k)
+	if t.heads[s] == 0 {
+		if 2*(t.used+1) > len(t.keys) {
+			t.resize(2 * len(t.keys))
+			s = t.slot(k)
+		}
+		t.keys[s] = k
+		t.used++
+	}
+	t.next = append(t.next, t.heads[s]-1)
+	t.heads[s] = int32(len(t.next))
+}
+
+// first returns the last row added under key k, or -1; next[row]
+// continues the chain.
+func (t *hashIndex) first(k uint64) int32 { return t.heads[t.slot(k)] - 1 }
+
+// rowSet is a set of rows, its members in insertion order and indexed
+// by FNV-1a hash. Membership is exact — a hash match is confirmed by
+// full-row equality — and adding a row allocates only when the member
+// list or the index grows.
 type rowSet struct {
-	buckets map[uint64][][]rdf.ID
-	size    int
+	rows  [][]rdf.ID
+	index *hashIndex
 }
 
 func newRowSet(capacity int) *rowSet {
-	return &rowSet{buckets: make(map[uint64][][]rdf.ID, capacity)}
+	return &rowSet{rows: make([][]rdf.ID, 0, capacity), index: newHashIndex(capacity)}
 }
 
-// add inserts the row and reports whether it was absent before.
-func (s *rowSet) add(row []rdf.ID) bool {
-	h := hashRow(row)
-	for _, have := range s.buckets[h] {
-		if rowsEqual(have, row) {
-			return false
-		}
-	}
-	s.buckets[h] = append(s.buckets[h], row)
-	s.size++
-	return true
-}
-
-// has reports membership without inserting.
-func (s *rowSet) has(row []rdf.ID) bool {
-	for _, have := range s.buckets[hashRow(row)] {
-		if rowsEqual(have, row) {
+// find reports whether the set holds row, whose hash is h.
+func (s *rowSet) find(row []rdf.ID, h uint64) bool {
+	for i := s.index.first(h); i >= 0; i = s.index.next[i] {
+		if rowsEqual(s.rows[i], row) {
 			return true
 		}
 	}
 	return false
 }
 
-func (s *rowSet) len() int { return s.size }
+// add inserts the row and reports whether it was absent before.
+func (s *rowSet) add(row []rdf.ID) bool {
+	h := hashRow(row)
+	if s.find(row, h) {
+		return false
+	}
+	s.rows = append(s.rows, row)
+	s.index.add(h)
+	return true
+}
+
+// has reports membership without inserting.
+func (s *rowSet) has(row []rdf.ID) bool { return s.find(row, hashRow(row)) }
+
+func (s *rowSet) len() int { return len(s.rows) }
 
 // Sorted returns the rows sorted lexicographically; used by tests to
 // compare result sets deterministically.
@@ -310,93 +392,98 @@ func (in PatternInput) TotalRows() int {
 // BuildRelation turns a pattern's input rows into a relation over the
 // pattern's variables, applying constant filters (on subject/object) and
 // repeated-variable equality (e.g. ?x :p ?x).
+//
+// The pattern is resolved once — each position's row column or
+// constant ID, and which positions a repeated variable ties together —
+// so the per-row loop is a few integer tests over pairs decoded in
+// batches into one reused buffer.
 func BuildRelation(in PatternInput, dict Dict) (*Relation, error) {
 	pat := in.Pattern
 	vars := pat.Vars()
 	rel := &Relation{Vars: vars}
 
-	var sConst, oConst rdf.ID
-	sIsConst, oIsConst := pat.S.IsConcrete(), pat.O.IsConcrete()
-	if sIsConst {
-		sConst = dict.Lookup(pat.S)
+	// Position i of (S, P, O) binds row column col[i], or is the
+	// constant id[i] when col[i] < 0.
+	var col [3]int
+	var id [3]rdf.ID
+	for i, term := range [3]rdf.Term{pat.S, pat.P, pat.O} {
+		if term.IsVar() {
+			col[i] = slices.Index(vars, term.Value)
+			continue
+		}
+		col[i] = -1
+		if id[i] = dict.Lookup(term); id[i] == rdf.NoID {
+			// A constant absent from the dictionary cannot match anything.
+			return rel, nil
+		}
 	}
-	if oIsConst {
-		oConst = dict.Lookup(pat.O)
+	sCol, pCol, oCol := col[0], col[1], col[2]
+	sConst, oConst := sCol < 0, oCol < 0
+	// A variable repeated across positions must bind one value.
+	sEqP := sCol >= 0 && sCol == pCol
+	sEqO := sCol >= 0 && sCol == oCol
+	pEqO := pCol >= 0 && pCol == oCol
+
+	total := 0
+	for _, g := range in.Groups {
+		if pCol >= 0 || g.Prop == id[1] {
+			total += g.Rows.Len()
+		}
 	}
-	var pConst rdf.ID
-	pIsConst := pat.P.IsConcrete()
-	if pIsConst {
-		pConst = dict.Lookup(pat.P)
-	}
-	// A constant absent from the dictionary cannot match anything.
-	if (sIsConst && sConst == rdf.NoID) || (oIsConst && oConst == rdf.NoID) ||
-		(pIsConst && pConst == rdf.NoID) {
+	if total == 0 {
 		return rel, nil
 	}
-
-	// Column layout per row: the distinct variables in SPO order.
-	colOf := make(map[string]int, len(vars))
-	for i, v := range vars {
-		colOf[v] = i
-	}
-	// Row storage is carved from chunked arenas — one allocation per ~4k
-	// rows instead of one per row — and the row index is sized up front
-	// when no constant filter can shrink it.
+	// The row index is sized for every pair: growing it copies every
+	// row pointer so far, which costs more than the unused tail of a
+	// filtered pattern's index. Row storage is carved from arenas of at
+	// most 4096 rows and never more than the pairs still to come; a
+	// pattern with a constant or a repeated variable may keep few of its
+	// pairs, so its arenas grow with the rows it keeps.
+	filtered := sConst || oConst || sEqP || sEqO || pEqO
+	rel.Rows = make([][]rdf.ID, 0, total)
 	nv := len(vars)
 	var arena []rdf.ID
-	newRow := func() []rdf.ID {
-		if len(arena) < nv {
-			arena = make([]rdf.ID, 4096*nv)
-		}
-		row := arena[:nv:nv]
-		arena = arena[nv:]
-		return row
-	}
-	if !sIsConst && !oIsConst {
-		total := 0
-		for _, g := range in.Groups {
-			if !pIsConst || g.Prop == pConst {
-				total += g.Rows.Len()
-			}
-		}
-		rel.Rows = make([][]rdf.ID, 0, total)
-	}
+	left := total
+	var buf [256]rdf.SOPair
 	for _, g := range in.Groups {
-		if pIsConst && g.Prop != pConst {
+		if pCol < 0 && g.Prop != id[1] {
 			continue
 		}
 		prop := g.Prop
-		g.Rows.ForEach(func(pr rdf.SOPair) {
-			if sIsConst && pr.S != sConst {
-				return
-			}
-			if oIsConst && pr.O != oConst {
-				return
-			}
-			row := newRow()
-			ok := true
-			// Fill in SPO order; a repeated variable (e.g. ?x :p ?x) must
-			// receive the same value at every occurrence.
-			var seen [3]bool
-			set := func(term rdf.Term, val rdf.ID) {
-				if !ok || !term.IsVar() {
-					return
+		g.Rows.ForEachBatch(buf[:], func(pairs []rdf.SOPair) {
+			for _, pr := range pairs {
+				left--
+				switch {
+				case sConst && pr.S != id[0], oConst && pr.O != id[2],
+					sEqO && pr.S != pr.O, sEqP && pr.S != prop, pEqO && prop != pr.O:
+					continue
 				}
-				c := colOf[term.Value]
-				if seen[c] && row[c] != val {
-					ok = false
-					return
+				if len(arena) < nv {
+					chunk := min(4096, left+1)
+					if filtered {
+						chunk = min(chunk, max(64, len(rel.Rows)))
+					}
+					arena = make([]rdf.ID, chunk*nv)
 				}
-				row[c] = val
-				seen[c] = true
-			}
-			set(pat.S, pr.S)
-			set(pat.P, prop)
-			set(pat.O, pr.O)
-			if ok {
+				row := arena[:nv:nv]
+				arena = arena[nv:]
+				if sCol >= 0 {
+					row[sCol] = pr.S
+				}
+				if pCol >= 0 {
+					row[pCol] = prop
+				}
+				if oCol >= 0 {
+					row[oCol] = pr.O
+				}
 				rel.Rows = append(rel.Rows, row)
 			}
 		})
+	}
+	// A filtered pattern that kept few rows gives back its index, which
+	// the relation would otherwise pin for the rest of the query.
+	if len(rel.Rows) < cap(rel.Rows)/2 {
+		rel.Rows = slices.Clip(append([][]rdf.ID(nil), rel.Rows...))
 	}
 	return rel, nil
 }

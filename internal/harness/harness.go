@@ -183,7 +183,7 @@ func (s *Suite) Systems(b *BuiltDataset, workload []*sparql.Query) (pingSys, s2r
 	// 0.25 is S2RDF's published default selectivity threshold (ScaleUB):
 	// ExtVP tables larger than a quarter of their base VP table are not
 	// stored and the query falls back to the plain vertical partition.
-	st2, err := s2rdf.Preprocess(b.Data.Graph, s2rdf.Options{Context: s.ctx, SelectivityThreshold: 0.25})
+	st2, err := s2rdf.Preprocess(b.Data.Graph, s2rdf.Options{SelectivityThreshold: 0.25})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -191,7 +191,6 @@ func (s *Suite) Systems(b *BuiltDataset, workload []*sparql.Query) (pingSys, s2r
 	// its Bloom reductions per query, so its data access equals the full
 	// vertical partitions.
 	stw, err := worq.Preprocess(b.Data.Graph, worq.Options{
-		Context:               s.ctx,
 		Workload:              workload,
 		DisableReductionCache: true,
 	})

@@ -1,6 +1,6 @@
 // Package prof is the continuous-profiling and resource-attribution
-// layer: a per-query resource ledger threaded through ping → engine →
-// dataflow → dfs, the one source of per-fingerprint cost; pprof label
+// layer: a per-query resource ledger threaded through ping and dfs,
+// the one source of per-fingerprint cost; pprof label
 // propagation, so captured profiles can be sliced by query; a
 // runtime/metrics poller; and cadenced CPU/heap profile capture with
 // bounded disk. Reading the captured profiles is left to the
@@ -20,9 +20,10 @@ import (
 // are safe for concurrent use from dataflow workers and are nil-safe:
 // code paths without an attached ledger pay one pointer test.
 //
-// CPU here is task-execution wall time summed over dataflow tasks (Go
-// exposes no per-goroutine CPU clock). It is the only CPU attribution:
-// /resources ranks by it and cost-based admission predicts from it.
+// CPU here is step wall time: each progressive step's load + evaluate
+// time, summed over the run's steps (Go exposes no per-goroutine CPU
+// clock). It is the only CPU attribution: /resources ranks by it and
+// cost-based admission predicts from it.
 type Ledger struct {
 	taskNanos        atomic.Int64
 	rowsLoaded       atomic.Int64
@@ -36,9 +37,9 @@ type Ledger struct {
 // Snapshot is a point-in-time copy of a ledger, suitable for stamping
 // into wide events and workload aggregates.
 type Snapshot struct {
-	// TaskNanos is execution wall time summed across dataflow tasks run
-	// on the query's behalf (parallel tasks sum, so this can exceed the
-	// query's latency).
+	// TaskNanos is step wall time: the sum of the query's steps'
+	// load + evaluate time (ping's StepResult.Elapsed). Planning,
+	// restore and result emission between steps are not in it.
 	TaskNanos int64
 	// RowsLoaded counts sub-partition rows materialized for the query.
 	RowsLoaded int64
@@ -61,7 +62,7 @@ type Snapshot struct {
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger { return &Ledger{} }
 
-// AddTask records the wall duration of one executed dataflow task.
+// AddTask records the wall duration of one executed query step.
 func (l *Ledger) AddTask(d time.Duration) {
 	if l != nil {
 		l.taskNanos.Add(int64(d))
@@ -153,7 +154,7 @@ func (l *Ledger) Snapshot() Snapshot {
 type ledgerKey struct{}
 
 // WithLedger attaches a ledger to the context; every layer below
-// (ping, engine, dataflow, dfs) accounts into it.
+// (ping, dfs) accounts into it.
 func WithLedger(ctx context.Context, l *Ledger) context.Context {
 	if l == nil {
 		return ctx

@@ -84,8 +84,8 @@ type WideEvent struct {
 	Degraded        bool `json:"degraded,omitempty"`
 	MissingSubParts int  `json:"missing_subparts,omitempty"`
 	// Resource-ledger fields (prof.Ledger): what the lineage measurably
-	// cost. TaskMs sums dataflow task wall time (parallel tasks sum, so
-	// it can exceed LatencyMs); the byte fields separate storage reads
+	// cost. TaskMs is step time, the sum of the lineage's StepMs (each
+	// step's load + evaluate); the byte fields separate storage reads
 	// from cache-miss decodes; CacheBytesPinned and PeakRelationRows are
 	// peaks, not sums.
 	TaskMs           float64 `json:"task_ms,omitempty"`

@@ -376,6 +376,7 @@ func (p *Processor) runSteps(ctx context.Context, lay *hpart.Layout, q *sparql.Q
 		lastCp   *Checkpoint
 		segRows  int64
 		executed int
+		led      = prof.LedgerFrom(ctx)
 	)
 	for i := startStep; i < len(steps); i++ {
 		if err := ctx.Err(); err != nil {
@@ -415,13 +416,15 @@ func (p *Processor) runSteps(ctx context.Context, lay *hpart.Layout, q *sparql.Q
 			ss.End()
 			return nil, err
 		}
-		// A cancellation mid-evaluation leaves partial dataflow output;
-		// discard it rather than deliver an unsound step.
+		// A run cancelled during the step ends without delivering it.
 		if err := ctx.Err(); err != nil {
 			ss.End()
 			return nil, err
 		}
 		el := time.Since(t0)
+		// The step's load + evaluate time is the query's CPU in the
+		// ledger (the only CPU attribution, see prof.Snapshot.TaskNanos).
+		led.AddTask(el)
 		cum := elapsedBase + time.Since(start)
 		sr := StepResult{
 			Step:            i + 1,
@@ -474,7 +477,7 @@ func (p *Processor) runSteps(ctx context.Context, lay *hpart.Layout, q *sparql.Q
 		status.StepsDone = i + 1
 		state.prevAnswers = answers.Card()
 		if rc.checkpoints {
-			lastCp = state.checkpoint(q, lay, sr)
+			lastCp = state.checkpoint(lay, sr)
 		}
 		// LIMIT caps the cumulative answers, and the parser has no ORDER
 		// BY or OFFSET, so once the cap is reached these answers are the
@@ -504,10 +507,14 @@ func (p *Processor) runSteps(ctx context.Context, lay *hpart.Layout, q *sparql.Q
 // snapshots are capped-slice headers over the evaluator's storage, so
 // this is O(loaded keys), not O(data); the expensive serialization
 // happens only if the cursor actually hibernates to disk.
-func (st *evalState) checkpoint(q *sparql.Query, lay *hpart.Layout, sr StepResult) *Checkpoint {
+func (st *evalState) checkpoint(lay *hpart.Layout, sr StepResult) *Checkpoint {
+	if st.queryText == "" {
+		// Rendered once per run, not once per step.
+		st.queryText = st.q.String()
+	}
 	dv := lay.DictView()
 	cp := &Checkpoint{
-		Query:         q.String(),
+		Query:         st.queryText,
 		Strategy:      st.p.opts.Strategy,
 		FailurePolicy: st.p.opts.FailurePolicy,
 		Epoch:         lay.Epoch(),

@@ -127,7 +127,8 @@ func ParseFailurePolicy(name string) (FailurePolicy, error) {
 
 // Options configures a Processor.
 type Options struct {
-	// Context supplies the dataflow executor (nil: single worker).
+	// Context supplies the dataflow executor that reads a step's
+	// sub-partitions in parallel (nil: single worker).
 	Context *dataflow.Context
 	// Strategy selects slice ordering; zero value is LevelCumulative.
 	Strategy SliceStrategy

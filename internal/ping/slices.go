@@ -237,6 +237,7 @@ type evalState struct {
 	// cannot change the data mid-evaluation.
 	lay       *hpart.Layout
 	q         *sparql.Query
+	queryText string // q.String(), rendered by the first checkpoint
 	hlSet     []map[hpart.SubPartKey]bool
 	hlPathSet []map[hpart.SubPartKey]bool
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -275,93 +276,165 @@ func (b PairBlock) ForEach(fn func(SOPair)) {
 		}
 		return
 	}
-	if b.n == 0 {
-		return
-	}
-	switch b.packed[0] {
-	case tagEF:
-		b.forEachEF(fn)
-	default:
-		b.forEachDelta(fn)
+	var buf [64]SOPair
+	d := newPairDecoder(b)
+	for n := d.fill(buf[:]); n > 0; n = d.fill(buf[:]) {
+		for _, p := range buf[:n] {
+			fn(p)
+		}
 	}
 }
 
-func (b PairBlock) forEachDelta(fn func(SOPair)) {
+// ForEachBatch calls fn with the block's pairs in order, in consecutive
+// batches: a packed block decodes into buf, len(buf) pairs at a time,
+// and a raw block hands over its own slice in one batch. fn must treat
+// the batch as read-only and must not retain it past the call. A
+// caller that reuses one buf across blocks decodes without allocating.
+func (b PairBlock) ForEachBatch(buf []SOPair, fn func([]SOPair)) {
+	if b.raw != nil {
+		if len(b.raw) > 0 {
+			fn(b.raw)
+		}
+		return
+	}
+	if len(buf) == 0 {
+		buf = make([]SOPair, 256)
+	}
+	d := newPairDecoder(b)
+	for n := d.fill(buf); n > 0; n = d.fill(buf) {
+		fn(buf[:n])
+	}
+}
+
+// pairDecoder decodes a packed block incrementally: each fill resumes
+// where the previous one stopped, so the stream can be drained into a
+// fixed buffer.
+type pairDecoder struct {
+	n, done int
+	ef      bool
+	// Delta-varint state: the unread stream and the last pair.
+	stream       []byte
+	prevS, prevO ID
+	// Elias-Fano state: the low-bit and high-bit arrays, the key
+	// parameters, the read positions and the subject offset tracked
+	// incrementally from the non-decreasing keys.
+	low, high    []byte
+	l            int
+	lmask        uint64
+	minS, minO   ID
+	orange       uint64
+	sRel, sBase  uint64
+	bitPos, hpos int
+	hbits        byte
+}
+
+func newPairDecoder(b PairBlock) pairDecoder {
+	d := pairDecoder{n: b.n}
+	if b.n == 0 {
+		return d
+	}
 	buf := b.packed[1:]
-	var prevS, prevO ID
-	for i := 0; i < b.n; i++ {
+	if b.packed[0] != tagEF {
+		d.stream = buf
+		return d
+	}
+	d.ef = true
+	mins, k := binary.Uvarint(buf)
+	buf = buf[k:]
+	mino, k := binary.Uvarint(buf)
+	buf = buf[k:]
+	d.orange, k = binary.Uvarint(buf)
+	buf = buf[k:]
+	d.l = int(buf[0])
+	buf = buf[1:]
+	lowBytes := (b.n*d.l + 7) / 8
+	d.low, d.high = buf[:lowBytes], buf[lowBytes:]
+	d.minS, d.minO = ID(mins), ID(mino)
+	d.lmask = uint64(1)<<uint(d.l) - 1
+	d.hbits = d.high[0]
+	return d
+}
+
+// fill decodes the next pairs into out and returns how many it wrote;
+// 0 means the block is exhausted.
+func (d *pairDecoder) fill(out []SOPair) int {
+	if len(out) > d.n-d.done {
+		out = out[:d.n-d.done]
+	}
+	if d.ef {
+		d.fillEF(out)
+	} else {
+		d.fillDelta(out)
+	}
+	d.done += len(out)
+	return len(out)
+}
+
+func (d *pairDecoder) fillDelta(out []SOPair) {
+	buf, prevS, prevO := d.stream, d.prevS, d.prevO
+	first := d.done == 0
+	for j := range out {
 		ds, k := binary.Uvarint(buf)
 		buf = buf[k:]
 		dv, k := binary.Uvarint(buf)
 		buf = buf[k:]
 		s := prevS + ID(ds)
 		o := ID(dv)
-		if i > 0 && ds == 0 {
+		if ds == 0 && !first {
 			o = prevO + ID(dv)
 		}
-		fn(SOPair{S: s, O: o})
+		first = false
+		out[j] = SOPair{S: s, O: o}
 		prevS, prevO = s, o
 	}
+	d.stream, d.prevS, d.prevO = buf, prevS, prevO
 }
 
-func (b PairBlock) forEachEF(fn func(SOPair)) {
-	buf := b.packed[1:]
-	mins, k := binary.Uvarint(buf)
-	buf = buf[k:]
-	mino, k := binary.Uvarint(buf)
-	buf = buf[k:]
-	orange, k := binary.Uvarint(buf)
-	buf = buf[k:]
-	l := int(buf[0])
-	buf = buf[1:]
-	lowBytes := (b.n*l + 7) / 8
-	low, high := buf[:lowBytes], buf[lowBytes:]
-	minS, minO := ID(mins), ID(mino)
-	lmask := uint64(1)<<uint(l) - 1
-	// Keys are non-decreasing, so k/orange (the subject offset) can be
-	// tracked incrementally: most hops fit a few subtractions, and only
-	// large jumps pay a hardware division to resync.
-	var sRel, sBase uint64
-	bitPos := 0
-	i := 0
-	for bytePos, bv := range high {
-		for bv != 0 {
-			pos := bytePos*8 + bits.TrailingZeros8(bv)
-			bv &= bv - 1
-			key := uint64(pos-i) << uint(l)
-			if l > 0 {
-				// A 64-bit window at the byte holding bitPos covers all
-				// l ≤ 57 low bits in one unaligned load; the generic
-				// bit-loop handles the buffer tail and oversized l.
-				if idx := bitPos >> 3; idx+8 <= len(low) && l <= 57 {
-					w := binary.LittleEndian.Uint64(low[idx:])
-					key |= w >> uint(bitPos&7) & lmask
-				} else {
-					key |= getBits(low, bitPos, l)
-				}
-				bitPos += l
+func (d *pairDecoder) fillEF(out []SOPair) {
+	low, high, l, lmask, orange := d.low, d.high, d.l, d.lmask, d.orange
+	sRel, sBase, bitPos, hpos, hbits := d.sRel, d.sBase, d.bitPos, d.hpos, d.hbits
+	i := d.done
+	for j := range out {
+		for hbits == 0 {
+			hpos++
+			hbits = high[hpos]
+		}
+		pos := hpos*8 + bits.TrailingZeros8(hbits)
+		hbits &= hbits - 1
+		key := uint64(pos-i) << uint(l)
+		if l > 0 {
+			// A 64-bit window at the byte holding bitPos covers all
+			// l ≤ 57 low bits in one unaligned load; the generic
+			// bit-loop handles the buffer tail and oversized l.
+			if idx := bitPos >> 3; idx+8 <= len(low) && l <= 57 {
+				w := binary.LittleEndian.Uint64(low[idx:])
+				key |= w >> uint(bitPos&7) & lmask
+			} else {
+				key |= getBits(low, bitPos, l)
 			}
-			d := key - sBase
-			if d >= orange {
-				if d < orange*8 {
-					for d >= orange {
-						sRel++
-						sBase += orange
-						d -= orange
-					}
-				} else {
-					sRel = key / orange
-					sBase = sRel * orange
-					d = key - sBase
+			bitPos += l
+		}
+		// Keys are non-decreasing, so k/orange (the subject offset) can
+		// be tracked incrementally: most hops fit a few subtractions,
+		// and only large jumps pay a hardware division to resync.
+		delta := key - sBase
+		if delta >= orange {
+			if delta < orange*8 {
+				for delta >= orange {
+					sRel++
+					sBase += orange
+					delta -= orange
 				}
-			}
-			fn(SOPair{S: minS + ID(sRel), O: minO + ID(d)})
-			i++
-			if i == b.n {
-				return
+			} else {
+				sRel = key / orange
+				sBase = sRel * orange
+				delta = key - sBase
 			}
 		}
+		out[j] = SOPair{S: d.minS + ID(sRel), O: d.minO + ID(delta)}
+		i++
 	}
+	d.sRel, d.sBase, d.bitPos, d.hpos, d.hbits = sRel, sBase, bitPos, hpos, hbits
 }
 
 // AppendTo decodes the block onto dst and returns the extended slice.
@@ -369,12 +442,10 @@ func (b PairBlock) AppendTo(dst []SOPair) []SOPair {
 	if b.raw != nil {
 		return append(dst, b.raw...)
 	}
-	if cap(dst)-len(dst) < b.n {
-		grown := make([]SOPair, len(dst), len(dst)+b.n)
-		copy(grown, dst)
-		dst = grown
-	}
-	b.ForEach(func(p SOPair) { dst = append(dst, p) })
+	n := len(dst)
+	dst = slices.Grow(dst, b.n)[:n+b.n]
+	d := newPairDecoder(b)
+	d.fill(dst[n:])
 	return dst
 }
 

@@ -227,7 +227,7 @@ type FingerprintStats struct {
 	LastEpoch   uint64 `json:"last_epoch"`
 	LastAnswers int    `json:"last_answers"`
 	// Resource attribution (/resources), from the per-query ledger.
-	// TaskSeconds is summed dataflow task wall time. The byte/row
+	// TaskSeconds is summed step wall time (load + evaluate). The byte/row
 	// counters are lineage sums; CacheBytesPinned and PeakRelationRows
 	// are the worst single run observed.
 	TaskSeconds      float64 `json:"task_seconds,omitempty"`
